@@ -28,7 +28,7 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-check: build vet lint race prefixcache
+check: build vet lint race parity prefixcache
 
 bench:
 	$(GO) run ./cmd/genie-bench
@@ -40,19 +40,21 @@ bench-kernels:
 	$(GO) test ./internal/tensor/ops -run xxx -bench . -benchmem
 	$(GO) test ./internal/runtime -run xxx -bench 'BenchmarkDecodeStep|BenchmarkPrefill' -benchmem
 
-# Kernel parity: every parallelized kernel bit-identical to its serial
-# reference at every worker count, under the race detector.
+# Parity under the race detector. Kernels: every parallelized kernel
+# bit-identical to its serial reference at every worker count. Sessions:
+# the generated matrix (placement x KV residency x wire mode x frame tier
+# x driver — every configuration of the one session executor emits the
+# in-process oracle's tokens and accounts for its state the same way)
+# and the frame golden (the configurations the benchmark runs put
+# byte-identical Exec frames on the wire).
 parity:
 	$(GO) test -race -run 'Parity|GrainInvariance' ./internal/tensor/ops -count=1
+	$(GO) test -race -run 'SessionParityMatrix|FrameGolden' ./internal/runtime -count=1
 
-# Fault-tolerance suite under the race detector: deterministic chaos
-# injection, hung-peer deadlines, breaker trips, lineage failover, and
-# the kill-backend-mid-decode soak (bit-identical tokens after
-# recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
 # Sharded backend pool under the race detector: plan strategies, 2-way
-# parity vs local decode, voluntary leave and chaos crash mid-decode
-# (byte-identical completion), and the join/leave/join churn soak with
-# goroutine-leak checks.
+# sharding and its traffic counters, voluntary leave and chaos crash
+# mid-decode (byte-identical completion), and the join/leave/join churn
+# soak with goroutine-leak checks.
 pool:
 	$(GO) test -race -count=1 ./internal/pool/ -run .
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'Remove|Evict'
@@ -68,10 +70,11 @@ wire:
 	$(GO) test -race -count=1 ./internal/backend/ -run 'Wire|Negotiate|Dedup|Delta|Compress|Legacy|QuantPolicy'
 
 # Prefix KV cache + prefill/decode split under the race detector:
-# radix lookup/insert/split/evict mechanics, bit-identical parity cache
-# on/off and split vs colocated, ref-count churn with goroutine-leak
-# checks, the prefill-lane crash/failover chaos variant, and the
-# suffix-only extend graph the cache rides on.
+# radix lookup/insert/split/evict mechanics, the exact ΔKV handoff and
+# warm-prefix dedup, ref-count churn with goroutine-leak checks, the
+# prefill-lane crash/failover chaos variant, session key accounting, and
+# the suffix-only extend graph the cache rides on (token parity cache
+# on/off and split vs colocated is `make parity`).
 prefixcache:
 	$(GO) test -race -count=1 ./internal/kvcache/ -run .
 	$(GO) test -race -count=1 ./internal/runtime/ -run 'Resident|CloseFrees'
@@ -92,8 +95,14 @@ brownout:
 	$(GO) test -race -count=1 ./internal/kvcache/ -run 'Hedge'
 	$(GO) test -race -count=1 ./internal/eval/ -run 'Brownout'
 
+# Fault-tolerance suite under the race detector: deterministic chaos
+# injection, hung-peer deadlines, breaker trips, lineage failover, and
+# the kill-backend-mid-decode soak (bit-identical tokens after
+# recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
+# Every alternative below names at least one test (go test -list): a
+# regex that matches nothing passes silently.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ -run .
-	$(GO) test -race -count=1 ./internal/transport/ -run 'Retry|Breaker|Chaos|Deadline|Dropped|Corrupt|Stall|Kill|Frame'
+	$(GO) test -race -count=1 ./internal/transport/ -run 'Retrier|Breaker|CallCtx|Poison|Corrupt|Classify|StateLoss|Frame'
 	$(GO) test -race -count=1 ./internal/lineage/ -run 'Failover|KillBackend|Recover|Lost'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'Crash|Failover|HungPeer|RetryBudget|Breaker'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'Crash|HungPeer|RetryBudget|Breaker'

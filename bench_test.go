@@ -11,6 +11,7 @@
 package genie
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"strconv"
@@ -262,7 +263,7 @@ func BenchmarkLineageRecovery(b *testing.B) {
 			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
 		}
 		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := mgr.ExecTracked("gpu0", ex)
+		ok, err := mgr.ExecTracked(context.Background(), "gpu0", ex)
 		if err != nil {
 			b.Fatal(err)
 		}

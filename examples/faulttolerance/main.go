@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -65,7 +66,7 @@ func main() {
 			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
 		}
 		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := mgr.ExecTracked(ep, ex)
+		ok, err := mgr.ExecTracked(context.Background(), ep, ex)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +26,17 @@ type wantExpectation struct {
 	matched bool
 }
 
+// fixtureLoader is shared by every fixture test: the source importer
+// type-checks the stdlib once (about 1.6 s) instead of once per fixture.
+// Fixture tests run sequentially, and the driver likewise builds its
+// Program over one load of the whole module, so a Program spanning
+// earlier fixtures' packages is the production shape, not a shortcut.
+var fixtureLoader struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
 // loadFixture loads one testdata package through the real loader and
 // returns it with the loader, so callers can build a Program over
 // everything the load pulled in (the fixture plus its stand-in
@@ -34,15 +46,18 @@ func loadFixture(t *testing.T, relDir string) (*Package, *Loader) {
 	if testing.Short() {
 		t.Skip("fixture loading type-checks the stdlib from source; skipped with -short")
 	}
-	modRoot, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	fixtureLoader.once.Do(func() {
+		modRoot, err := FindModuleRoot(".")
+		if err == nil {
+			fixtureLoader.loader, err = NewLoader(modRoot)
+		}
+		fixtureLoader.err = err
+	})
+	if fixtureLoader.err != nil {
+		t.Fatal(fixtureLoader.err)
 	}
-	loader, err := NewLoader(modRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(filepath.Join(modRoot, filepath.FromSlash(relDir)))
+	loader := fixtureLoader.loader
+	pkg, err := loader.Load(filepath.Join(loader.ModRoot, filepath.FromSlash(relDir)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // TestSplitSurvivesPrefillCrash kills the prefill backend mid-workload.
-// The OnPrefillFailure hook fails the lineage-tracked prefill endpoint
-// over to a spare (weights replay from recorded provenance) and the
-// retried prefill must produce bit-identical tokens — decode never
-// notices, because its resident state and connection are untouched.
+// The runner's Failover fails the lineage-tracked prefill endpoint over
+// to a spare (weights replay from recorded provenance) and the reissued
+// prefill hop must produce bit-identical tokens — decode never notices,
+// because its resident state and connection are untouched.
 func TestSplitSurvivesPrefillCrash(t *testing.T) {
 	snap := metrics.SnapGoroutines()
 
@@ -48,11 +48,6 @@ func TestSplitSurvivesPrefillCrash(t *testing.T) {
 		Decode:         decodeBE.cli,
 		DecodeCounters: decodeBE.ctr,
 		Cache:          mgr,
-		OnPrefillFailure: func(error) error {
-			failovers++
-			_, ferr := tep.Failover("spare")
-			return ferr
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +58,11 @@ func TestSplitSurvivesPrefillCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := sp.Runner()
+	r.Failover = &runtime.Failover{Rebind: func(error) error {
+		failovers++
+		_, ferr := tep.Failover("spare")
+		return ferr
+	}}
 
 	// Healthy request first, seeding the prefix cache.
 	got := generateScoped(t, r, runtime.ModeSemAware, "req0/", parityPrompt, steps)
@@ -86,7 +86,7 @@ func TestSplitSurvivesPrefillCrash(t *testing.T) {
 		t.Fatalf("failover hook ran %d times, want 1", failovers)
 	}
 
-	// The spare is now the prefill lane; further requests need no hook.
+	// The spare is now the prefill lane; further requests need no repair.
 	got = generateScoped(t, r, runtime.ModeSemAware, "req2/", parityPrompt, steps)
 	for i := range want {
 		if got[i] != want[i] {
@@ -105,9 +105,10 @@ func TestSplitSurvivesPrefillCrash(t *testing.T) {
 	snap.Check(t)
 }
 
-// TestSplitPrefillFailureWithoutHook: with no recovery hook the error
-// surfaces to the caller instead of hanging or corrupting decode state.
-func TestSplitPrefillFailureWithoutHook(t *testing.T) {
+// TestSplitPrefillFailureWithoutFailover: with no Failover on the runner
+// the error surfaces to the caller instead of hanging or corrupting
+// decode state.
+func TestSplitPrefillFailureWithoutFailover(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	model := models.NewGPT(rng, models.TinyGPT)
 	prefillBE := startPipeBackend(t)
@@ -125,7 +126,7 @@ func TestSplitPrefillFailureWithoutHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.Prefill(parityPrompt); err == nil {
-		t.Fatal("prefill on a failing backend succeeded without a recovery hook")
+		t.Fatal("prefill on a failing backend succeeded without a Failover")
 	}
 	_ = s.Close()
 }

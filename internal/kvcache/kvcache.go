@@ -10,14 +10,16 @@
 // (models.BuildPrefillExtend — bit-identical to a full prefill by the
 // offset-causal-mask construction), and inserts the suffix rows back so
 // the next request extends further. Keys live on the scoped
-// models.CacheRef plane, the same key space every other strategy uses.
+// models.CacheRef plane, the same key space every session uses.
 //
-// Three strategies consume the cache: a colocated local one
-// (Manager.Runner), a colocated remote one (Manager.RunnerOn, fused
-// semantics-aware RPCs whose prefix binds dedup to zero wire bytes on
-// repeat), and a disaggregated prefill/decode split (NewSplit) that runs
-// the two phases on different backends and ships only the ΔKV suffix
-// across the boundary.
+// The package implements no session of its own. It hands the one
+// session executor in runtime the two things that cannot be derived
+// there: the prefix Lookup/Insert as a wrapper around prefill
+// (Manager.Match, behind Manager.Runner in-process and Manager.RunnerOn
+// on an endpoint, where a repeated prefix bind dedups to zero wire
+// bytes), and — for the prefill/decode split (NewSplit) — who executes
+// a hop: the healthiest prefill lane, then a handoff that ships only the
+// ΔKV suffix to the decode endpoint.
 package kvcache
 
 import (
@@ -27,7 +29,9 @@ import (
 	"genie/internal/models"
 	"genie/internal/nn"
 	"genie/internal/obs"
+	"genie/internal/runtime"
 	"genie/internal/tensor"
+	"genie/internal/transport"
 )
 
 // DefaultPageTokens is the page granularity when Config.PageTokens is 0:
@@ -49,8 +53,8 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Manager owns one radix tree of resident prefixes and hands out runner
-// strategies that consult it. All methods are safe for concurrent use.
+// Manager owns one radix tree of resident prefixes and hands out
+// runners whose prefill consults it. All methods are safe for concurrent use.
 type Manager struct {
 	cfg Config
 
@@ -90,6 +94,50 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.residentBytes = reg.Gauge("genie_kvcache_resident_bytes", "resident page bytes")
 	m.residentNodes = reg.Gauge("genie_kvcache_resident_nodes", "live radix nodes")
 	return m, nil
+}
+
+// Runner returns an LLMRunner whose ModeLocal sessions consult the
+// prefix cache: Prefill runs only the uncached suffix over the gathered
+// prefix, decode is the plain in-process path. Token sequences are
+// bit-identical to the uncached local mode.
+func (m *Manager) Runner() *runtime.LLMRunner {
+	return runtime.NewPlacedRunner(runtime.LLMRunner{Model: m.cfg.Model}, nil, m)
+}
+
+// RunnerOn returns an LLMRunner whose ModeSemAware sessions consult the
+// prefix cache while executing on ep as fused RPCs. On a hit, the cached
+// prefix enters the graph as dedup-hinted inline binds: over a
+// feature-negotiated transport a prefix the connection has seen before
+// collapses to a 32-byte hash — zero content bytes on the wire. The
+// fresh suffix rows are read back once to feed the tree; decode steps
+// bind the remote cache by scoped key exactly like the plain
+// semantics-aware mode.
+func (m *Manager) RunnerOn(ep runtime.Endpoint, counters *transport.Counters) *runtime.LLMRunner {
+	return runtime.NewPlacedRunner(runtime.LLMRunner{Model: m.cfg.Model, EP: ep, Counters: counters}, nil, m)
+}
+
+// Match is Lookup and Insert as the session core's prefill wrapper
+// (runtime.PrefixCache): the hit's Commit inserts the suffix rows, swaps
+// the lookup pin for the session-lifetime one and recycles the gathered
+// prefix.
+func (m *Manager) Match(prompt []int64) (runtime.PrefixHit, error) {
+	pin, prefix, release, matched, err := m.Lookup(prompt)
+	if err != nil {
+		return runtime.PrefixHit{}, err
+	}
+	commit := func(newK, newV []*tensor.Tensor) (func(), error) {
+		defer release()
+		defer pin.Unpin()
+		if newK == nil {
+			return nil, nil
+		}
+		held, err := m.Insert(prompt, matched, newK, newV)
+		if err != nil {
+			return nil, err
+		}
+		return held.Unpin, nil
+	}
+	return runtime.PrefixHit{Matched: matched, KV: prefix, Commit: commit}, nil
 }
 
 // PageTokens reports the effective page granularity.

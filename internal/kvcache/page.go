@@ -3,7 +3,6 @@ package kvcache
 import (
 	"fmt"
 
-	"genie/internal/nn"
 	"genie/internal/tensor"
 )
 
@@ -48,9 +47,7 @@ func (p *pageSet) bytes() int64 {
 }
 
 // pageRun is an ordered sequence of pages holding a contiguous span of
-// token positions. Runs back both radix-node KV state (the shared
-// resident plane) and per-session private history (prefix copy + decode
-// tail).
+// token positions: the KV state of one radix node.
 type pageRun struct {
 	layers, pageTokens, dim int
 
@@ -201,41 +198,6 @@ func (r *pageRun) gatherRange(lo, hi int) (ks, vs []*tensor.Tensor, release func
 		return nil, nil, nil, err
 	}
 	return ks, vs, release, nil
-}
-
-// gatherCaches materializes the concatenation of several runs as
-// contiguous per-layer nn.KVCache views (the shape BuildDecodeStep and
-// BuildPrefillExtend bind). release recycles the backing scratch.
-func gatherCaches(runs []*pageRun, layers, dim int) (caches []*nn.KVCache, release func(), err error) {
-	total := 0
-	for _, r := range runs {
-		total += r.tokens
-	}
-	ks := make([]*tensor.Tensor, layers)
-	vs := make([]*tensor.Tensor, layers)
-	for i := 0; i < layers; i++ {
-		ks[i] = tensor.NewScratch(tensor.F32, total, dim)
-		vs[i] = tensor.NewScratch(tensor.F32, total, dim)
-	}
-	release = func() {
-		for i := 0; i < layers; i++ {
-			ks[i].Release()
-			vs[i].Release()
-		}
-	}
-	at := 0
-	for _, r := range runs {
-		if err := r.copyRange(ks, vs, 0, r.tokens, at); err != nil {
-			release()
-			return nil, nil, err
-		}
-		at += r.tokens
-	}
-	caches = make([]*nn.KVCache, layers)
-	for i := 0; i < layers; i++ {
-		caches[i] = &nn.KVCache{K: ks[i], V: vs[i]}
-	}
-	return caches, release, nil
 }
 
 // copyRows copies src rows [lo, hi) into dst starting at row `at`.

@@ -66,52 +66,15 @@ func generateScoped(t *testing.T, r *runtime.LLMRunner, mode runtime.Mode, scope
 
 var parityPrompt = []int64{5, 17, 42, 3, 9, 28, 54, 11, 2, 33}
 
-// TestLocalCachedParity: the prefix-cached local strategy must emit
-// bit-identical token sequences to the uncached local baseline — cold
-// (miss), warm (full-prefix hit), and on a prompt sharing only part of
-// its prefix (partial hit forcing a radix split).
-func TestLocalCachedParity(t *testing.T) {
+// TestRemoteCachedWarmPrefixDedups: with the prefix cache in front of a
+// fused-RPC runner, repeated prefixes must both hit the radix tree and
+// dedup on the wire (a warm request ships fewer bytes than the cold
+// one). Token parity and Close accounting are rows of the session parity
+// matrix in internal/runtime.
+func TestRemoteCachedWarmPrefixDedups(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	model := models.NewGPT(rng, models.TinyGPT)
 	const steps = 5
-
-	baseline := &runtime.LLMRunner{Model: model}
-	mgr, err := NewManager(Config{Model: model, BudgetBytes: 1 << 20, PageTokens: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := mgr.Runner()
-
-	divergent := append(append([]int64{}, parityPrompt[:6]...), 60, 61, 62, 63)
-	for _, prompt := range [][]int64{parityPrompt, parityPrompt, divergent, parityPrompt} {
-		want := generateScoped(t, baseline, runtime.ModeLocal, "", prompt, steps)
-		got := generateScoped(t, cached, runtime.ModeLocal, "", prompt, steps)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("prompt %v: cached diverges at step %d: %v vs %v", prompt, i, got, want)
-			}
-		}
-	}
-	st := mgr.Snapshot()
-	if st.Hits < 2 {
-		t.Fatalf("warm passes produced %d hits", st.Hits)
-	}
-	if st.BytesSaved == 0 {
-		t.Fatal("no bytes saved across warm passes")
-	}
-}
-
-// TestRemoteCachedParity: the fused-RPC cached strategy over a real
-// backend must match the uncached local baseline, and repeated prefixes
-// must both hit the radix tree and dedup on the wire (second prefill
-// ships fewer bytes than the first).
-func TestRemoteCachedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	model := models.NewGPT(rng, models.TinyGPT)
-	const steps = 5
-
-	baseline := &runtime.LLMRunner{Model: model}
-	want := generateScoped(t, baseline, runtime.ModeLocal, "", parityPrompt, steps)
 
 	pb := startPipeBackend(t)
 	mgr, err := NewManager(Config{Model: model, BudgetBytes: 1 << 20, PageTokens: 4})
@@ -122,39 +85,20 @@ func TestRemoteCachedParity(t *testing.T) {
 	if _, err := r.InstallModelWeights(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := pb.cli.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	var prefillBytes []int64
+	var requestBytes []int64
 	for i := 0; i < 3; i++ {
 		before := pb.ctr.Total()
-		got := generateScoped(t, r, runtime.ModeSemAware, fmt.Sprintf("req%d/", i), parityPrompt, steps)
-		prefillBytes = append(prefillBytes, pb.ctr.Total()-before)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("pass %d diverges at step %d: %v vs %v", i, j, got, want)
-			}
-		}
+		generateScoped(t, r, runtime.ModeSemAware, fmt.Sprintf("req%d/", i), parityPrompt, steps)
+		requestBytes = append(requestBytes, pb.ctr.Total()-before)
 	}
-	st := mgr.Snapshot()
-	if st.Hits < 2 {
+	if st := mgr.Snapshot(); st.Hits < 2 {
 		t.Fatalf("radix hits %d, want >= 2", st.Hits)
 	}
 	// Warm passes bind the gathered prefix with the dedup hint; after the
 	// first trip the prefix content collapses to hashes, so a warm
 	// request must move fewer bytes than the cold one.
-	if prefillBytes[2] >= prefillBytes[0] {
-		t.Fatalf("warm request moved %d bytes >= cold %d", prefillBytes[2], prefillBytes[0])
-	}
-	// The backend holds each session's cache under its scoped keys; Close
-	// frees them, so resident count must be back to weights-only.
-	stats, err := pb.cli.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ResidentCount != base.ResidentCount {
-		t.Fatalf("resident count %d after Close, want %d (scoped KV leaked)", stats.ResidentCount, base.ResidentCount)
+	if requestBytes[2] >= requestBytes[0] {
+		t.Fatalf("warm request moved %d bytes >= cold %d", requestBytes[2], requestBytes[0])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"genie/internal/health"
@@ -38,11 +39,6 @@ type SplitConfig struct {
 	// Cache, when set, is the shared prefix cache consulted before
 	// prefill. Nil disaggregates without prefix reuse.
 	Cache *Manager
-	// OnPrefillFailure, when set, is invoked when a prefill execution
-	// fails; returning nil retries the prefill exactly once (the chaos
-	// recovery hook — lineage failover onto a spare backend slots in
-	// here). Nil or a non-nil return surfaces the original error.
-	OnPrefillFailure func(error) error
 	// Metrics receives the ΔKV handoff series; nil keeps a private
 	// registry.
 	Metrics *obs.Registry
@@ -74,7 +70,12 @@ type PrefillLane struct {
 }
 
 // Split runs prefill and decode on different backends, shipping the ΔKV
-// suffix between them.
+// suffix between them. To the session core it is a placement
+// (runtime.Placement): prefill hops go to the lane pool and are followed
+// by the handoff, decode hops go to Decode, where the session's scoped
+// keys live. A failed prefill is repaired by the runner's Failover
+// (sp.Runner().Failover — lineage failover of a tracked lane onto a
+// spare) like any other hop.
 type Split struct {
 	cfg          SplitConfig
 	deltaBytes   *obs.Counter
@@ -82,6 +83,10 @@ type Split struct {
 	hedged       *obs.Counter
 	hedgeWins    *obs.Counter
 	hedgeCancels *obs.Counter
+	// laneCall serializes the raced execs on one lane: a connection
+	// carries one call at a time, and the cancelled loser of an earlier
+	// race may still be unwinding on it when the next request arrives.
+	laneCall map[string]*sync.Mutex
 }
 
 // NewSplit validates the wiring.
@@ -101,8 +106,13 @@ func NewSplit(cfg SplitConfig) (*Split, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	laneCall := make(map[string]*sync.Mutex, len(cfg.Lanes))
+	for _, ln := range cfg.Lanes {
+		laneCall[ln.Name] = new(sync.Mutex)
+	}
 	return &Split{
 		cfg:         cfg,
+		laneCall:    laneCall,
 		deltaBytes:  reg.Counter("genie_kvcache_split_delta_bytes_total", "KV suffix bytes handed prefill->decode"),
 		deltaTokens: reg.Counter("genie_kvcache_split_delta_tokens_total", "KV suffix tokens handed prefill->decode"),
 		hedged: reg.Counter("genie_kvcache_hedged_prefills_total",
@@ -163,23 +173,13 @@ func (sp *Split) rankedLanes() []PrefillLane {
 	return out
 }
 
-// execOnLane runs one prefill exec on a lane, threading ctx through
-// when the endpoint supports per-call cancellation (transport.Client
-// does), and feeds the result to the health scorer. A cancelled exec —
-// the losing half of a hedge — is not held against the lane's latency
-// EWMA: the duration measures our patience, not the lane.
+// execOnLane runs one prefill exec on a lane and feeds the result to
+// the health scorer. A cancelled exec — the losing half of a hedge — is
+// not held against the lane's latency EWMA: the duration measures our
+// patience, not the lane.
 func (sp *Split) execOnLane(ctx context.Context, ln PrefillLane, ex *transport.Exec) (*transport.ExecOK, error) {
-	type ctxExecer interface {
-		ExecCtx(context.Context, *transport.Exec) (*transport.ExecOK, error)
-	}
 	t0 := time.Now()
-	var ok *transport.ExecOK
-	var err error
-	if ec, can := ln.EP.(ctxExecer); can && ctx != nil {
-		ok, err = ec.ExecCtx(ctx, ex)
-	} else {
-		ok, err = ln.EP.Exec(ex)
-	}
+	ok, err := runtime.ExecEP(ctx, ln.EP, ex)
 	if sp.cfg.Health != nil && !errors.Is(err, context.Canceled) {
 		sp.cfg.Health.Endpoint(ln.Name).Observe(time.Since(t0), err != nil)
 	}
@@ -211,6 +211,18 @@ func (sp *Split) hedgeExec(ctx context.Context, primary, backup PrefillLane, ex 
 		//lint:ignore ctxflow nil-context fallback, not a propagation hole
 		ctx = context.Background()
 	}
+	// The loser outlives this call — it may not even have encoded the exec
+	// when the winner returns — and the gathered prefix it binds is arena
+	// scratch the caller recycles right after. The lanes race a copy whose
+	// prefix binds own their memory.
+	raced := *ex
+	raced.Binds = append([]transport.Binding(nil), ex.Binds...)
+	for i := range raced.Binds {
+		if raced.Binds[i].Cache {
+			raced.Binds[i].Inline = raced.Binds[i].Inline.Clone()
+		}
+	}
+	ex = &raced
 	deadline := sp.cfg.HedgeFloor
 	if sp.cfg.Health != nil {
 		deadline = sp.cfg.Health.HedgeDeadline(sp.cfg.HedgeFloor)
@@ -225,7 +237,10 @@ func (sp *Split) hedgeExec(ctx context.Context, primary, backup PrefillLane, ex 
 	defer cancel()
 	launch := func(ln PrefillLane, isBackup bool) {
 		go func() {
+			call := sp.laneCall[ln.Name]
+			call.Lock()
 			ok, err := sp.execOnLane(hctx, ln, ex)
+			call.Unlock()
 			ch <- result{ok, err, isBackup}
 		}()
 	}
@@ -288,202 +303,88 @@ func (sp *Split) DeltaTokens() int64 { return sp.deltaTokens.Value() }
 // counters point at the decode side (where sessions live); weights must
 // already be installed on both endpoints (InstallWeights).
 func (sp *Split) Runner() *runtime.LLMRunner {
-	return &runtime.LLMRunner{
+	var cache runtime.PrefixCache
+	if sp.cfg.Cache != nil {
+		cache = sp.cfg.Cache
+	}
+	return runtime.NewPlacedRunner(runtime.LLMRunner{
 		Model:           sp.cfg.Model,
 		EP:              sp.cfg.Decode,
 		Counters:        sp.cfg.DecodeCounters,
 		WeightsResident: true,
-		NewStrategy: func(_ context.Context, mode runtime.Mode, scope string) (runtime.Strategy, error) {
-			if mode != runtime.ModeSemAware {
-				return nil, fmt.Errorf("kvcache: split runner supports mode semantics_aware, not %s", mode)
-			}
-			return &splitSession{sp: sp, scope: scope, nilCaches: nilCaches(sp.cfg.Model)}, nil
-		},
-	}
+	}, splitPlacement{sp}, cache)
 }
 
-type splitSession struct {
-	sp        *Split
-	scope     string
-	pin       *Pin
-	epoch     uint32
-	hist      int
-	nilCaches []*nn.KVCache
+// splitPlacement is the split as the session core sees it.
+type splitPlacement struct{ sp *Split }
+
+// Route sends a prefill hop to the lane pool — throwaway: nothing is
+// kept resident there, the core wants only the next token and the fresh
+// suffix rows, and the handoff follows — and a decode hop to Decode.
+func (p splitPlacement) Route(prefill bool, _ int) (runtime.Route, error) {
+	rt := runtime.Route{Hi: p.sp.cfg.Model.Cfg.Layers, EP: p.sp.cfg.Decode}
+	if prefill {
+		rt.EP, rt.Handoff = prefillLanes(p), p.sp.handoff
+	}
+	return rt, nil
 }
 
-func (s *splitSession) Prefill(ctx context.Context, prompt []int64) (int64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	sp := s.sp
-	cfg := sp.cfg.Model.Cfg
+func (p splitPlacement) Free(key string) error { return p.sp.cfg.Decode.Free(key) }
 
-	var (
-		pin     *Pin
-		prefix  []*nn.KVCache
-		release = func() {}
-		matched int
-		err     error
-	)
-	if sp.cfg.Cache != nil {
-		pin, prefix, release, matched, err = sp.cfg.Cache.Lookup(prompt)
-		if err != nil {
-			return 0, err
-		}
-	}
-	defer release()
+// prefillLanes presents the lane pool as the one executor a prefill hop
+// is routed to; which lane runs it (and whether a second one races it)
+// is decided per call.
+type prefillLanes struct{ sp *Split }
 
-	// Phase 1: prefill on the prefill backend. Nothing is kept resident
-	// there — its copy of the KV state is throwaway; we only want the
-	// next token and the fresh suffix rows.
-	b, plan := buildPrefill(sp.cfg.Model, prompt, matched, prefix)
-	ex := &transport.Exec{Graph: b.Graph()}
-	for _, n := range b.Graph().Nodes() {
-		if n.Op != "input" {
-			continue
-		}
-		data, _ := b.InputData(n.Ref)
-		cache := n.Residency == srg.ResidencyStatefulKVCache
-		ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data, Cache: cache})
-	}
-	ex.Want = append(ex.Want, plan.next)
-	for i := range plan.newK {
-		ex.Want = append(ex.Want, plan.newK[i], plan.newV[i])
-	}
-	ok, err := sp.execPrefill(ctx, ex)
-	if err != nil && sp.cfg.OnPrefillFailure != nil {
-		if herr := sp.cfg.OnPrefillFailure(err); herr == nil {
-			ok, err = sp.execPrefill(ctx, ex)
-		}
-	}
-	if err != nil {
-		pin.Unpin()
-		return 0, err
-	}
-	suffixK := make([]*tensor.Tensor, cfg.Layers)
-	suffixV := make([]*tensor.Tensor, cfg.Layers)
-	for i := 0; i < cfg.Layers; i++ {
-		suffixK[i], suffixV[i] = ok.Results[plan.newK[i]], ok.Results[plan.newV[i]]
-	}
+func (l prefillLanes) Exec(x *transport.Exec) (*transport.ExecOK, error) {
+	return l.sp.execPrefill(nil, x)
+}
 
-	if sp.cfg.Cache != nil {
-		insertPin, ierr := sp.cfg.Cache.Insert(prompt, matched, suffixK, suffixV)
-		pin.Unpin()
-		if ierr != nil {
-			return 0, ierr
-		}
-		s.pin = insertPin
-	}
+func (l prefillLanes) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
+	return l.sp.execPrefill(ctx, x)
+}
 
-	// Phase 2: ΔKV handoff. One exec on the decode backend assembles
-	// prefix ++ suffix into the session's scoped resident keys. The
-	// suffix rows are the only novel content — the analytic per-token KV
-	// delta; the prefix bind is dedup-hinted, so once this decode
-	// connection has seen a shared prefix it re-transfers as a 32-byte
-	// hash.
+// handoff is the ΔKV handoff: one exec on the decode backend assembles
+// prefix ++ suffix into the session's scoped resident keys. The suffix
+// rows are the only novel content — the analytic per-token KV delta; the
+// prefix bind is dedup-hinted, so once this decode connection has seen a
+// shared prefix it re-transfers as a 32-byte hash. prefix is nil on a
+// cache miss or when no cache is configured.
+func (sp *Split) handoff(ctx context.Context, scope string, prefix []*nn.KVCache, suffixK, suffixV []*tensor.Tensor) (*transport.ExecOK, error) {
 	hb := lazy.NewBuilder("kvcache.handoff")
 	hb.SetModality(srg.ModalityText)
 	hx := &transport.Exec{Keep: map[srg.NodeID]string{}}
 	var delta int64
-	for i := 0; i < cfg.Layers; i++ {
-		for _, half := range []struct {
-			name   string
-			prefix *tensor.Tensor
-			suffix *tensor.Tensor
-		}{
-			{"k", prefixHalf(prefix, i, "k"), suffixK[i]},
-			{"v", prefixHalf(prefix, i, "v"), suffixV[i]},
-		} {
+	for i := range suffixK {
+		halves := [2]struct {
+			name           string
+			prefix, suffix *tensor.Tensor
+		}{{name: "k", suffix: suffixK[i]}, {name: "v", suffix: suffixV[i]}}
+		if prefix != nil {
+			halves[0].prefix, halves[1].prefix = prefix[i].K, prefix[i].V
+		}
+		for _, half := range halves {
 			parts := make([]lazy.Value, 0, 2)
 			if half.prefix != nil {
-				pv := hb.Input(fmt.Sprintf("prefix.%d.%s", i, half.name), half.prefix)
-				hx.Binds = append(hx.Binds, transport.Binding{
-					Ref: fmt.Sprintf("prefix.%d.%s", i, half.name), Inline: half.prefix, Cache: true})
-				parts = append(parts, pv)
+				ref := fmt.Sprintf("prefix.%d.%s", i, half.name)
+				parts = append(parts, hb.Input(ref, half.prefix))
+				hx.Binds = append(hx.Binds, transport.Binding{Ref: ref, Inline: half.prefix, Cache: true})
 			}
-			sv := hb.Input(fmt.Sprintf("suffix.%d.%s", i, half.name), half.suffix)
-			hx.Binds = append(hx.Binds, transport.Binding{
-				Ref: fmt.Sprintf("suffix.%d.%s", i, half.name), Inline: half.suffix})
-			parts = append(parts, sv)
+			ref := fmt.Sprintf("suffix.%d.%s", i, half.name)
+			parts = append(parts, hb.Input(ref, half.suffix))
+			hx.Binds = append(hx.Binds, transport.Binding{Ref: ref, Inline: half.suffix})
 			full := hb.Concat(0, parts...)
 			hb.MarkOutput(full)
-			hx.Keep[full.ID()] = s.scope + models.CacheRef(i, half.name)
+			hx.Keep[full.ID()] = scope + models.CacheRef(i, half.name)
 			delta += int64(half.suffix.NumBytes())
 		}
 	}
 	hx.Graph = hb.Graph()
-	hok, err := sp.cfg.Decode.Exec(hx)
+	hok, err := runtime.ExecEP(ctx, sp.cfg.Decode, hx)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	sp.deltaBytes.Add(delta)
-	sp.deltaTokens.Add(int64(len(prompt) - matched))
-	s.epoch = hok.Epoch
-	s.hist = len(prompt)
-	return ok.Results[plan.next].I64()[0], nil
-}
-
-// prefixHalf extracts one layer-half tensor from the gathered prefix
-// (nil on a cache miss or when no cache is configured).
-func prefixHalf(prefix []*nn.KVCache, layer int, half string) *tensor.Tensor {
-	if prefix == nil {
-		return nil
-	}
-	if half == "k" {
-		return prefix[layer].K
-	}
-	return prefix[layer].V
-}
-
-func (s *splitSession) Step(ctx context.Context, tok int64) (int64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	b, out := s.sp.cfg.Model.BuildDecodeStep(tok, s.hist, s.hist, s.nilCaches)
-	ex := &transport.Exec{Graph: b.Graph()}
-	for _, n := range b.Graph().Nodes() {
-		if n.Op != "input" {
-			continue
-		}
-		if n.Residency == srg.ResidencyStatefulKVCache {
-			ex.Binds = append(ex.Binds, transport.Binding{
-				Ref: n.Ref, Key: s.scope + n.Ref, Epoch: s.epoch})
-			continue
-		}
-		data, _ := b.InputData(n.Ref)
-		ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-	}
-	ex.Keep = map[srg.NodeID]string{}
-	for i := range out.CacheK {
-		ex.Keep[out.CacheK[i]] = s.scope + models.CacheRef(i, "k")
-		ex.Keep[out.CacheV[i]] = s.scope + models.CacheRef(i, "v")
-	}
-	ex.Want = append(ex.Want, out.LastLogits, out.NextToken)
-	ok, err := s.sp.cfg.Decode.Exec(ex)
-	if err != nil {
-		return 0, err
-	}
-	s.epoch = ok.Epoch
-	s.hist++
-	return ok.Results[out.NextToken].I64()[0], nil
-}
-
-func (s *splitSession) Close() error {
-	s.pin.Unpin()
-	var first error
-	for _, k := range s.ResidentKeys() {
-		if err := s.sp.cfg.Decode.Free(k); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// ResidentKeys reports the session's decode-side resident cache keys.
-func (s *splitSession) ResidentKeys() []string {
-	return scopedKeys(s.scope, s.sp.cfg.Model)
+	sp.deltaTokens.Add(int64(suffixK[0].Shape()[0]))
+	return hok, nil
 }

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -73,7 +74,13 @@ func (t *TrackedEndpoint) Upload(key string, data *tensor.Tensor) (*transport.Up
 // from lineage state, which is what lets a session resume with stale
 // client-side epochs right after a failover.
 func (t *TrackedEndpoint) Exec(x *transport.Exec) (*transport.ExecOK, error) {
-	return t.m.ExecTracked(t.Name(), x)
+	return t.ExecCtx(nil, x)
+}
+
+// ExecCtx is Exec bounded and traced by ctx (nil allowed), so a
+// session's per-op deadline reaches the backend through the tracking.
+func (t *TrackedEndpoint) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
+	return t.m.ExecTracked(ctx, t.Name(), x)
 }
 
 // Fetch reads a resident object from the bound backend.

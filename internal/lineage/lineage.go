@@ -17,6 +17,7 @@
 package lineage
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -101,8 +102,8 @@ func (m *Manager) UploadTracked(epName, key string, data *tensor.Tensor) error {
 
 // ExecTracked runs a subgraph on the named endpoint, filling binding
 // epochs from tracked state, and records a version for every kept
-// output.
-func (m *Manager) ExecTracked(epName string, x *transport.Exec) (*transport.ExecOK, error) {
+// output. ctx (nil allowed) bounds and traces the RPC.
+func (m *Manager) ExecTracked(ctx context.Context, epName string, x *transport.Exec) (*transport.ExecOK, error) {
 	ep, ok := m.Endpoint(epName)
 	if !ok {
 		return nil, fmt.Errorf("lineage: unknown endpoint %q", epName)
@@ -140,7 +141,7 @@ func (m *Manager) ExecTracked(epName string, x *transport.Exec) (*transport.Exec
 	}
 	m.mu.Unlock()
 
-	ok2, err := ep.Exec(x)
+	ok2, err := runtime.ExecEP(ctx, ep, x)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -54,7 +55,7 @@ func chainStep(t *testing.T, m *Manager, ep string, stepKey, prevKey string, fir
 	} else {
 		ex.Binds = []transport.Binding{{Ref: "prev", Key: prevKey}}
 	}
-	if _, err := m.ExecTracked(ep, ex); err != nil {
+	if _, err := m.ExecTracked(context.Background(), ep, ex); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -200,7 +201,7 @@ func TestGroupedReplaySingleExec(t *testing.T) {
 		Binds: []transport.Binding{{Ref: "x", Inline: xt}},
 		Keep:  map[srg.NodeID]string{a.ID(): "pa", c.ID(): "pc"},
 	}
-	if _, err := m.ExecTracked("gpu0", ex); err != nil {
+	if _, err := m.ExecTracked(context.Background(), "gpu0", ex); err != nil {
 		t.Fatal(err)
 	}
 	srv.Crash()
@@ -254,7 +255,7 @@ func TestDecodeLoopRecovery(t *testing.T) {
 			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
 		}
 		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := m.ExecTracked("gpu0", ex)
+		ok, err := m.ExecTracked(context.Background(), "gpu0", ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +320,7 @@ func TestDecodeLoopRecovery(t *testing.T) {
 			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
 		}
 		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := m2.ExecTracked("gpu0", ex)
+		ok, err := m2.ExecTracked(context.Background(), "gpu0", ex)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,13 @@
 package pool
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"genie/internal/cluster"
 	"genie/internal/device"
@@ -42,10 +42,11 @@ type Config struct {
 	// re-uploads and always safe; splitting a live session's fused exec
 	// records across members is not).
 	RebalanceOnJoin bool
-	// SegmentRetries bounds per-forward-pass shard repairs before the
-	// error surfaces to the session's caller (default 2).
-	SegmentRetries int
 }
+
+// segmentRetries bounds the shard repairs one hop may trigger before its
+// error surfaces to the session's caller.
+const segmentRetries = 2
 
 // member is one live backend in the pool.
 type member struct {
@@ -75,10 +76,14 @@ func (g *gateEndpoint) Upload(key string, data *tensor.Tensor) (*transport.Uploa
 }
 
 func (g *gateEndpoint) Exec(x *transport.Exec) (*transport.ExecOK, error) {
+	return g.ExecCtx(nil, x)
+}
+
+func (g *gateEndpoint) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
 	if g.closed.Load() {
 		return nil, g.err()
 	}
-	return g.ep.Exec(x)
+	return runtime.ExecEP(ctx, g.ep, x)
 }
 
 func (g *gateEndpoint) Fetch(key string, epoch uint32) (*tensor.Tensor, error) {
@@ -148,9 +153,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.SegmentRetries <= 0 {
-		cfg.SegmentRetries = 2
 	}
 	m := &Manager{
 		cfg:     cfg,
@@ -290,9 +292,9 @@ func (m *Manager) Leave(name string) error {
 }
 
 // reportExecFailure is the session-side loss path: a segment exec on
-// name failed at plan version seen. It returns true when the session
-// may retry (the pool repaired, or someone else already had).
-func (m *Manager) reportExecFailure(name string, seen int64) bool {
+// name failed at plan version seen. A nil return means the session may
+// retry (the pool repaired, or someone else already had).
+func (m *Manager) reportExecFailure(name string, seen int64) error {
 	m.failures.Inc()
 	m.lockRebuild()
 	defer m.unlockRebuild()
@@ -301,9 +303,9 @@ func (m *Manager) reportExecFailure(name string, seen int64) bool {
 	_, present := m.members[name]
 	m.mu.Unlock()
 	if cur > seen || !present {
-		return true // a concurrent repair already handled it
+		return nil // a concurrent repair already handled it
 	}
-	return m.evict(name) == nil
+	return m.evict(name)
 }
 
 // hasTrackedKV reports whether any session KV state is tracked.
@@ -670,62 +672,4 @@ func (m *Manager) Plan() *ShardPlan {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.plan
-}
-
-// execOn dispatches one segment exec to a member through its tracked
-// endpoint, so binding epochs are corrected and provenance recorded.
-func (m *Manager) execOn(name string, x *transport.Exec) (*transport.ExecOK, error) {
-	m.mu.Lock()
-	mem := m.members[name]
-	m.mu.Unlock()
-	if mem == nil {
-		return nil, fmt.Errorf("pool: member %q departed", name)
-	}
-	t0 := time.Now()
-	ok, err := mem.te.Exec(x)
-	if m.cfg.Health != nil {
-		m.cfg.Health.Endpoint(name).Observe(time.Since(t0), err != nil)
-	}
-	if err == nil {
-		m.segExecs.Inc()
-	}
-	return ok, err
-}
-
-// noteCrossShard counts activation bytes moved across a shard boundary.
-func (m *Manager) noteCrossShard(n int64) { m.crossBytes.Add(n) }
-
-// freeScoped releases one session's scoped KV keys on whichever members
-// hold them and drops their lineage, so departures never resurrect
-// state the session already released.
-func (m *Manager) freeScoped(scope string) error {
-	var first error
-	for i := 0; i < m.cfg.Model.Cfg.Layers; i++ {
-		for _, half := range []string{"k", "v"} {
-			key := scope + models.CacheRef(i, half)
-			home, ok := m.lin.HomeOf(key)
-			if !ok {
-				continue
-			}
-			if ep, live := m.lin.Endpoint(home); live {
-				if err := ep.Free(key); err != nil && first == nil {
-					first = err
-				}
-			}
-			m.lin.Forget(key)
-		}
-	}
-	return first
-}
-
-// Runner returns an LLMRunner whose sessions execute the sharded plan —
-// the drop-in the serving engine batches over unchanged. Weights are
-// managed by the pool (the engine must not install them), and the
-// runner needs no endpoint of its own.
-func (m *Manager) Runner() *runtime.LLMRunner {
-	return &runtime.LLMRunner{
-		Model:           m.cfg.Model,
-		WeightsResident: true,
-		NewStrategy:     m.newStrategy,
-	}
 }

@@ -193,12 +193,12 @@ func generate(t *testing.T, m *Manager, scope string, steps int) []int64 {
 	return out
 }
 
-// TestShardedParityTwoMembers: a model too large for either member
-// serves across both with bit-identical output to the local reference —
-// the tentpole acceptance criterion.
-func TestShardedParityTwoMembers(t *testing.T) {
+// TestShardedAcrossTwoMembers: a model too large for either member is
+// planned across both, and a generation counts its segment execs and
+// the activations that crossed the shard boundary. Token parity at 1, 2
+// and 3 members is the session parity matrix's, in internal/runtime.
+func TestShardedAcrossTwoMembers(t *testing.T) {
 	gpt := testGPT()
-	want := refTokens(t, 6)
 
 	mgr, err := NewManager(Config{Model: gpt})
 	if err != nil {
@@ -219,16 +219,15 @@ func TestShardedParityTwoMembers(t *testing.T) {
 			got, gpt.Cfg.WeightBytes(), spec.MemBytes)
 	}
 
-	got := generate(t, mgr, "req1/", 6)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("sharded tokens %v != local reference %v", got, want)
-	}
+	const steps = 6
+	generate(t, mgr, "req1/", steps)
 	st := mgr.Status()
-	if st.CrossShardBytes == 0 {
-		t.Error("no cross-shard activation bytes counted")
+	// One [tokens, Dim] f32 activation crosses the one boundary per pass.
+	if want := int64(len(testPrompt)+steps-1) * int64(gpt.Cfg.Dim) * 4; st.CrossShardBytes != want {
+		t.Errorf("cross-shard activation bytes = %d, want %d", st.CrossShardBytes, want)
 	}
-	if st.SegmentExecs == 0 {
-		t.Error("no segment execs counted")
+	if want := int64(2 * steps); st.SegmentExecs != want {
+		t.Errorf("segment execs = %d, want %d (2 shards x %d passes)", st.SegmentExecs, want, steps)
 	}
 }
 

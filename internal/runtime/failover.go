@@ -1,20 +1,16 @@
 package runtime
 
-import (
-	"context"
-	"fmt"
-
-	"genie/internal/transport"
-)
+import "genie/internal/transport"
 
 // Failover configures endpoint-loss recovery for a runner's sessions.
-// When an execution fails with a rebindable error — the conn died, the
-// call timed out, or the server reports lost state — the runner invokes
-// Rebind, which must repair or replace the runner's endpoint (typically
-// a lineage.TrackedEndpoint failing over to a replacement from the
-// cluster pool, replaying exactly the lost KV chains), and then
-// reissues the failed call. Deterministic replay makes the reissued
-// call bind bit-identical state, so recovered sessions continue their
+// When a hop fails with a rebindable error — the conn died, the call
+// timed out, or the server reports lost state — the session core's one
+// repair loop (Session.forward) invokes Rebind, which must repair or
+// replace whoever executes the hop (typically a lineage.TrackedEndpoint
+// failing over to a replacement from the cluster pool, replaying
+// exactly the lost KV chains; a Placement supplies its own per Route),
+// and then reissues the hop. Deterministic replay makes the reissued
+// hop bind bit-identical state, so recovered sessions continue their
 // token sequences exactly.
 type Failover struct {
 	// Rebind repairs or replaces the runner's endpoint after err. A nil
@@ -44,28 +40,4 @@ func (f *Failover) rebindable(err error) bool {
 		return f.Rebindable(err)
 	}
 	return transport.Retryable(err) || transport.IsStateLoss(err)
-}
-
-// execFT is execEP with failover: on a rebindable failure it asks the
-// configured Failover to repair the endpoint and reissues the call, up
-// to the rebind budget. Non-idempotent executions stay safe because
-// rebind replays state from lineage provenance — the reissued call
-// binds the recovered (pre-failure) versions, not a half-applied one.
-func (r *LLMRunner) execFT(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
-	ok, err := execEP(ctx, r.EP, x)
-	f := r.Failover
-	if f == nil || f.Rebind == nil {
-		return ok, err
-	}
-	for rebinds := 0; err != nil && rebinds < f.maxRebinds() && f.rebindable(err); {
-		rebinds++
-		if rerr := f.Rebind(err); rerr != nil {
-			return nil, fmt.Errorf("runtime: failover after %q: %w", err, rerr)
-		}
-		if f.OnRebind != nil {
-			f.OnRebind(err)
-		}
-		ok, err = execEP(ctx, r.EP, x)
-	}
-	return ok, err
 }

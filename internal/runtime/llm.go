@@ -8,6 +8,7 @@ import (
 	"genie/internal/models"
 	"genie/internal/nn"
 	"genie/internal/srg"
+	"genie/internal/tensor"
 	"genie/internal/transport"
 )
 
@@ -45,12 +46,71 @@ type LLMRunner struct {
 	// executions rebind (lineage replay onto a replacement) and reissue.
 	// Nil disables recovery — errors surface to the caller unchanged.
 	Failover *Failover
-	// NewStrategy, when set, overrides the built-in per-mode session
-	// strategies: NewScopedSessionCtx delegates prefill/step/close to
-	// the returned Strategy. The pool layer's sharded executor hooks in
-	// here; a runner carrying a strategy needs no EP (segments route to
-	// whichever endpoints the strategy owns).
-	NewStrategy func(ctx context.Context, mode Mode, scope string) (Strategy, error)
+
+	// placement and prefix are what the constructor that built the runner
+	// knows and the session core cannot (NewPlacedRunner); nil on a
+	// literal: every hop spans the model on EP, no prefix reuse.
+	placement Placement
+	prefix    PrefixCache
+}
+
+// Placement answers, for a runner whose sessions span several
+// endpoints, the one question the session core cannot: who executes a
+// hop right now. kvcache's prefill/decode split and pool's shard plan
+// implement it; both leave building, binding and dispatching the hop to
+// the core.
+type Placement interface {
+	// Route returns where the hop starting at block lo runs under the
+	// current plan. prefill says which phase the pass belongs to.
+	Route(prefill bool, lo int) (Route, error)
+	// Free releases one of a session's scoped KV keys wherever it lives.
+	Free(key string) error
+}
+
+// Route is a placement's answer for one hop.
+type Route struct {
+	// Hi ends the hop: it covers blocks [lo, Hi), plus the embeddings when
+	// lo is 0 and the head when Hi is the layer count.
+	Hi int
+	// EP executes it.
+	EP Executor
+	// Failover, when set, repairs this answer after EP fails (the pool
+	// evicts the member and re-plans); the hop is then routed again. Nil
+	// falls back to the runner's Failover.
+	Failover *Failover
+	// Handoff, when set, marks EP as a throwaway prefill site: the hop
+	// keeps nothing there, brings the fresh KV rows home, and Handoff
+	// installs prefix ++ rows under the session's scoped keys on the
+	// endpoint that will decode, returning that exec's reply.
+	Handoff func(ctx context.Context, scope string, prefix []*nn.KVCache, newK, newV []*tensor.Tensor) (*transport.ExecOK, error)
+}
+
+// PrefixCache is the radix prefix plane as prefill sees it.
+type PrefixCache interface {
+	// Match finds and pins the longest cached prefix of prompt.
+	Match(prompt []int64) (PrefixHit, error)
+}
+
+// PrefixHit is one Match result.
+type PrefixHit struct {
+	// Matched is the cached prefix length (0 on a miss, at most
+	// len(prompt)-1 so a suffix always runs); KV holds its gathered
+	// per-layer state, nil on a miss.
+	Matched int
+	KV      []*nn.KVCache
+	// Commit must be called exactly once. With the suffix pass's fresh
+	// per-layer rows it inserts them and returns the release of the pin
+	// the session holds for its lifetime; with nil rows (the pass failed)
+	// it only releases what Match pinned and gathered.
+	Commit func(newK, newV []*tensor.Tensor) (unpin func(), err error)
+}
+
+// NewPlacedRunner is the constructor behind kvcache's and pool's
+// Runner methods: base's sessions ask p who executes each hop (nil: EP
+// runs the whole model) and wrap prefill in c (nil: no prefix reuse).
+func NewPlacedRunner(base LLMRunner, p Placement, c PrefixCache) *LLMRunner {
+	base.placement, base.prefix = p, c
+	return &base
 }
 
 // Generate runs prompt prefill plus steps decode iterations. It is
@@ -65,6 +125,9 @@ func (r *LLMRunner) Generate(mode Mode, prompt []int64, steps int) (*GenResult, 
 	if err != nil {
 		return nil, err
 	}
+	// Unscoped, so the caches stay for the next call; this drops the
+	// prefix-cache pin.
+	defer func() { _ = s.Close() }()
 	if _, err := s.Prefill(prompt); err != nil {
 		return nil, err
 	}
@@ -153,12 +216,4 @@ func (r *LLMRunner) installAllWeights() (int64, error) {
 	// Capture one throwaway prefill to enumerate params.
 	b, _ := r.Model.BuildPrefill([]int64{0})
 	return InstallWeights(r.EP, b)
-}
-
-func emptyCaches(m *models.GPT) []*nn.KVCache {
-	caches := make([]*nn.KVCache, m.Cfg.Layers)
-	for i := range caches {
-		caches[i] = &nn.KVCache{}
-	}
-	return caches
 }

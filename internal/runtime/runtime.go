@@ -4,19 +4,27 @@
 // the evaluation reports (latency, network volume, modeled GPU busy
 // time).
 //
-// The package implements the paper's four evaluation modes (§4) as
-// executable strategies over the same model graphs, so their outputs can
-// be compared token-for-token:
+// The package implements the paper's four evaluation modes (§4) over
+// the same model graphs, so their outputs can be compared
+// token-for-token. Local — everything on the client's own device — is
+// the in-process oracle. The three remote modes are configurations of
+// one executor (Session.forward runs a pass as a sequence of hops), not
+// three implementations:
 //
-//   - Local: everything on the client's own device.
-//   - Naive (semantics-blind): every remote call re-uploads all weights;
-//     no state survives between calls.
+//   - Naive (semantics-blind): one hop per pass; every call re-uploads
+//     all weights, no state survives between calls, every output comes
+//     back.
 //   - ΔKV (semantics-blind + transport caching): weights and KV stay
-//     resident, but the blind runtime dispatches one RPC per module and
+//     resident, but the blind runtime cuts a hop at every module and
 //     materializes every call's outputs back to the client.
-//   - Semantics-Aware: the SRG drives one fused RPC per step; weights and
+//   - Semantics-Aware: the SRG drives one fused hop per step; weights and
 //     caches are pinned remotely by handle; only the next token and its
 //     logits cross the wire.
+//
+// kvcache's prefix-cached and prefill/decode-split runners and pool's
+// sharded runner are further configurations of the same executor: they
+// supply who executes a hop (Placement) and the prefix cache around
+// prefill (PrefixCache), and nothing else.
 package runtime
 
 import (

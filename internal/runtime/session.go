@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"genie/internal/exec"
+	"genie/internal/lazy"
 	"genie/internal/models"
 	"genie/internal/nn"
 	"genie/internal/obs"
@@ -24,6 +25,16 @@ import (
 // A Scope namespaces the session's remote-resident KV-cache keys, so
 // many sessions can share one backend without clobbering each other's
 // state; weights are installed under unscoped refs and stay shared.
+//
+// Every remote configuration — the paper's naive, ΔKV and
+// semantics-aware modes, the prefix-cached and prefill/decode-split
+// runners of kvcache, the sharded runner of pool — is one executor,
+// forward, that runs a pass as a sequence of hops. What differs is
+// derived, never configured: the wire discipline from the Mode, and who
+// executes a hop and whether a prefix cache wraps prefill from the
+// constructor that built the runner (see Placement, PrefixCache).
+// ModeLocal is the separate in-process branch every other row is
+// compared against.
 type Session struct {
 	r     *LLMRunner
 	mode  Mode
@@ -32,90 +43,45 @@ type Session struct {
 	// path; nil when the caller is not tracing (the common case — a nil
 	// ctx short-circuits span creation to one nil check).
 	ctx   context.Context
-	impl  sessionImpl
 	res   GenResult
 	gpu   time.Duration
 	next  int64
 	ready bool
+
+	// hist counts the positions whose KV state the session holds,
+	// wherever it lives. The naive replay holds none and keeps the token
+	// log instead.
+	hist    int
+	history []int64
+	tok     [1]int64 // the decode step's one-token input, reused
+	// epoch is the store epoch of the last hop on the endpoint holding
+	// the session's KV; semantics-aware binds carry it so a backend that
+	// lost state rejects the stale handle.
+	epoch uint32
+	// caches holds the per-layer KV tensors in ModeLocal. In remote modes
+	// it stays empty — the client holds no KV — and only gives
+	// BuildDecodeStep the layer count.
+	caches []*nn.KVCache
+	keep   map[srg.NodeID]bool // ModeLocal's kept-node set, reused across steps
+	unpin  func()              // releases the prefix-cache pin held for the session's life
 }
 
-// sessionImpl is one mode's incremental strategy. The ctx parameter
-// carries trace context down to the endpoint RPCs; implementations must
-// tolerate nil (untraced callers).
-type sessionImpl interface {
-	// prefill consumes the prompt and returns the first generated token.
-	prefill(ctx context.Context, prompt []int64) (int64, error)
-	// step runs one decode iteration on tok and returns the next token.
-	step(ctx context.Context, tok int64) (int64, error)
-	// residentKeys lists the session's per-request cache-plane keys —
-	// uniform accounting across every strategy, wherever the state
-	// actually lives. Empty (non-nil) means "accounted: no per-session
-	// cache state"; nil means the strategy cannot enumerate its keys.
-	residentKeys() []string
-	// remoteResident reports whether residentKeys name endpoint-resident
-	// objects the session owns — i.e. whether Close must Free them.
-	// Client-local caches report their keys but return false here.
-	remoteResident() bool
+// Executor is what a hop needs of its target: one Exec. An Endpoint is
+// one; so are the adapters kvcache and pool route hops through.
+type Executor interface {
+	Exec(x *transport.Exec) (*transport.ExecOK, error)
 }
 
-// ResidentKeyser is the optional surface an external Strategy implements
-// to expose its cache-plane keys through Session.ResidentKeys.
-type ResidentKeyser interface {
-	ResidentKeys() []string
-}
-
-// Strategy is an externally supplied session executor: a package that
-// wants to drive generation its own way (the pool layer's sharded
-// executor) implements Strategy and installs a factory on
-// LLMRunner.NewStrategy. The runtime never learns who is on the other
-// side — dependencies keep pointing toward runtime, exactly as with
-// lineage's TrackedEndpoint.
-type Strategy interface {
-	// Prefill consumes the prompt and returns the first generated token.
-	Prefill(ctx context.Context, prompt []int64) (int64, error)
-	// Step runs one decode iteration on tok and returns the next token.
-	Step(ctx context.Context, tok int64) (int64, error)
-	// Close releases whatever per-session state the strategy holds
-	// (scoped remote KV caches, plan pins).
-	Close() error
-}
-
-// strategySession adapts an external Strategy to sessionImpl. It owns
-// its cleanup: Session.Close delegates instead of Freeing keys on the
-// runner's endpoint, because a strategy's state may be spread over
-// endpoints the runner has never seen.
-type strategySession struct{ s Strategy }
-
-func (ss *strategySession) prefill(ctx context.Context, prompt []int64) (int64, error) {
-	return ss.s.Prefill(ctx, prompt)
-}
-
-func (ss *strategySession) step(ctx context.Context, tok int64) (int64, error) {
-	return ss.s.Step(ctx, tok)
-}
-
-func (ss *strategySession) residentKeys() []string {
-	if rk, ok := ss.s.(ResidentKeyser); ok {
-		return rk.ResidentKeys()
-	}
-	return nil
-}
-
-// The strategy owns its cleanup via Close; the runtime never Frees for it.
-func (ss *strategySession) remoteResident() bool { return false }
-
-// ctxEndpoint is the optional trace-aware surface of an Endpoint.
-// transport.Client implements it; fakes and local endpoints need not.
-type ctxEndpoint interface {
-	ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error)
-}
-
-// execEP dispatches one Exec through ep, routing trace context when
-// both sides support it. This keeps the Endpoint interface — and every
-// fake implementing it — unchanged.
-func execEP(ctx context.Context, ep Endpoint, x *transport.Exec) (*transport.ExecOK, error) {
+// ExecEP dispatches one Exec through ep, passing ctx — deadline, cancel
+// and trace context — when ep has an ExecCtx (transport.Client and every
+// wrapper in this module do; plain fakes need not). It is the one place
+// a session's hops reach an endpoint, and the place a nil ctx is
+// tolerated.
+func ExecEP(ctx context.Context, ep Executor, x *transport.Exec) (*transport.ExecOK, error) {
 	if ctx != nil {
-		if ce, ok := ep.(ctxEndpoint); ok {
+		if ce, ok := ep.(interface {
+			ExecCtx(context.Context, *transport.Exec) (*transport.ExecOK, error)
+		}); ok {
 			return ce.ExecCtx(ctx, x)
 		}
 	}
@@ -139,35 +105,28 @@ func (r *LLMRunner) NewScopedSession(mode Mode, scope string) (*Session, error) 
 // for the session's phases (and the RPCs under them) parent under the
 // span active in ctx. A nil or untraced ctx costs nothing.
 func (r *LLMRunner) NewScopedSessionCtx(ctx context.Context, mode Mode, scope string) (*Session, error) {
-	s := &Session{r: r, mode: mode, scope: scope, ctx: ctx}
-	if r.NewStrategy != nil {
-		strat, err := r.NewStrategy(ctx, mode, scope)
-		if err != nil {
+	switch {
+	case mode < ModeLocal || mode > ModeSemAware:
+		return nil, fmt.Errorf("runtime: unknown mode %d", mode)
+	case r.placement != nil && mode != ModeSemAware:
+		// Placed hops bind resident state by handle and bring home only
+		// what the next hop needs; the blind modes cannot express that.
+		return nil, fmt.Errorf("runtime: a placed runner supports mode %s, not %s", ModeSemAware, mode)
+	case r.prefix != nil && mode != ModeLocal && mode != ModeSemAware:
+		return nil, fmt.Errorf("runtime: a prefix-cached runner supports modes %s and %s, not %s", ModeLocal, ModeSemAware, mode)
+	case mode != ModeLocal && r.EP == nil && r.placement == nil:
+		return nil, fmt.Errorf("runtime: %s mode needs an endpoint", mode)
+	}
+	s := &Session{r: r, mode: mode, scope: scope, ctx: ctx, caches: make([]*nn.KVCache, r.Model.Cfg.Layers)}
+	for i := range s.caches {
+		s.caches[i] = &nn.KVCache{}
+	}
+	if mode != ModeLocal {
+		// Fail at creation, not mid-stream, when nobody can execute (a pool
+		// with no feasible plan).
+		if _, err := s.route(true, 0); err != nil {
 			return nil, err
 		}
-		s.impl = &strategySession{s: strat}
-		return s, nil
-	}
-	switch mode {
-	case ModeLocal:
-		s.impl = &localSession{r: r, gpu: &s.gpu, scope: scope, caches: emptyCaches(r.Model)}
-	case ModeNaive:
-		if r.EP == nil {
-			return nil, fmt.Errorf("runtime: naive mode needs an endpoint")
-		}
-		s.impl = &naiveSession{r: r, gpu: &s.gpu}
-	case ModeDeltaKV:
-		if r.EP == nil {
-			return nil, fmt.Errorf("runtime: delta_kv mode needs an endpoint")
-		}
-		s.impl = &deltaKVSession{r: r, gpu: &s.gpu, scope: scope}
-	case ModeSemAware:
-		if r.EP == nil {
-			return nil, fmt.Errorf("runtime: semantics_aware mode needs an endpoint")
-		}
-		s.impl = &semSession{r: r, gpu: &s.gpu, scope: scope, nilCaches: emptyCaches(r.Model)}
-	default:
-		return nil, fmt.Errorf("runtime: unknown mode %d", mode)
 	}
 	return s, nil
 }
@@ -190,7 +149,7 @@ func (s *Session) PrefillCtx(ctx context.Context, prompt []int64) (int64, error)
 	sctx, span := obs.StartSpan(ctx, "session.prefill")
 	span.SetAttrInt("prompt_tokens", int64(len(prompt)))
 	err := s.r.measure(&s.res.Prefill, &s.gpu, func() error {
-		tok, err := s.impl.prefill(sctx, prompt)
+		tok, err := s.prefill(sctx, prompt)
 		if err != nil {
 			return err
 		}
@@ -222,7 +181,7 @@ func (s *Session) StepCtx(ctx context.Context) (int64, error) {
 	}
 	sctx, span := obs.StartSpan(ctx, "session.step")
 	err := s.r.measure(&s.res.Decode, &s.gpu, func() error {
-		tok, err := s.impl.step(sctx, s.next)
+		tok, err := s.step(sctx, s.next)
 		if err != nil {
 			return err
 		}
@@ -242,393 +201,425 @@ func (s *Session) StepCtx(ctx context.Context) (int64, error) {
 func (s *Session) Result() *GenResult { return &s.res }
 
 // ResidentKeys lists the session's per-request cache-plane keys, wherever
-// the state lives (client-local caches report keys too — only Close cares
-// about residency). Empty means the session keeps no per-request cache
-// state; every built-in mode reports non-nil.
-func (s *Session) ResidentKeys() []string { return s.impl.residentKeys() }
+// the state lives (ModeLocal's client-side caches report keys too — only
+// Close cares about residency). The naive replay keeps no per-session
+// cache state anywhere, so its list is empty, but never nil: "accounted,
+// zero keys" is an answer.
+func (s *Session) ResidentKeys() []string {
+	keys := []string{}
+	if s.mode == ModeNaive {
+		return keys
+	}
+	for i := range s.caches {
+		keys = append(keys, s.scope+models.CacheRef(i, "k"), s.scope+models.CacheRef(i, "v"))
+	}
+	return keys
+}
 
-// Close releases the session's per-request remote state (scoped KV
-// caches). Weights and unscoped state are left resident. Safe to call
-// for any mode; local/naive sessions are no-ops.
+// Close releases the session's per-request state: the prefix-cache pin
+// and the scoped KV caches on whichever endpoints hold them. Weights
+// stay resident, and so do an unscoped session's caches — they live
+// under the bare refs it shares with Generate and its unscoped
+// neighbours. Safe to call in any mode.
 func (s *Session) Close() error {
-	if ss, ok := s.impl.(*strategySession); ok {
-		return ss.s.Close()
+	if s.unpin != nil {
+		s.unpin()
+		s.unpin = nil
 	}
-	if !s.impl.remoteResident() {
-		return nil
-	}
-	keys := s.impl.residentKeys()
-	if len(keys) == 0 || s.r.EP == nil {
+	if s.mode == ModeLocal || s.scope == "" {
 		return nil
 	}
 	var first error
-	for _, k := range keys {
-		if err := s.r.EP.Free(k); err != nil && first == nil {
+	for _, k := range s.ResidentKeys() {
+		var err error
+		if p := s.r.placement; p != nil {
+			err = p.Free(k)
+		} else {
+			err = s.r.EP.Free(k)
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// cacheKeys enumerates the scoped resident-store keys of a model's KV
-// caches.
-func cacheKeys(scope string, m *models.GPT) []string {
-	keys := make([]string, 0, 2*m.Cfg.Layers)
-	for i := 0; i < m.Cfg.Layers; i++ {
-		keys = append(keys, scope+models.CacheRef(i, "k"), scope+models.CacheRef(i, "v"))
+// prefill consumes the prompt and returns the first generated token.
+// With a prefix cache it is Lookup → suffix-only pass → Insert; decode
+// never sees the cache.
+func (s *Session) prefill(ctx context.Context, prompt []int64) (int64, error) {
+	if s.mode == ModeDeltaKV || s.mode == ModeSemAware {
+		// One-time provisioning: weights remain remote (not counted in phase
+		// traffic, exactly as the paper's setup pre-installs the model).
+		if err := s.r.ensureWeights(); err != nil {
+			return 0, err
+		}
 	}
-	return keys
+	var hit PrefixHit
+	if s.r.prefix != nil {
+		var err error
+		if hit, err = s.r.prefix.Match(prompt); err != nil {
+			return 0, err
+		}
+	}
+	tokens := prompt[hit.Matched:]
+	if s.mode == ModeNaive {
+		s.history = append([]int64(nil), prompt...)
+		tokens = s.history
+	}
+	tok, newK, newV, err := s.forward(ctx, true, tokens, hit.Matched, hit.KV)
+	if hit.Commit != nil {
+		// Exactly once on every path: nil rows after a failed pass only
+		// release what Match pinned and gathered.
+		unpin, cerr := hit.Commit(newK, newV)
+		for i := range newK {
+			// The tree copied the rows. In-process they are arena scratch
+			// to recycle, unless they are the caches themselves (a miss).
+			if s.mode == ModeLocal && newK[i] != s.caches[i].K {
+				newK[i].Release()
+				newV[i].Release()
+			}
+		}
+		if err == nil {
+			s.unpin, err = unpin, cerr
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.hist = len(prompt)
+	return tok, nil
+}
+
+// step runs one decode iteration on tok and returns the next token.
+func (s *Session) step(ctx context.Context, tok int64) (int64, error) {
+	s.tok[0] = tok
+	tokens, pos := s.tok[:], s.hist
+	if s.mode == ModeNaive {
+		// Nothing survives between blind calls: replay the whole history.
+		s.history = append(s.history, tok)
+		tokens, pos = s.history, 0
+	}
+	next, _, _, err := s.forward(ctx, false, tokens, pos, nil)
+	if err != nil {
+		return 0, err
+	}
+	s.hist++
+	return next, nil
+}
+
+// hop is one dispatch of a forward pass: optionally the embeddings,
+// blocks [lo, hi), optionally the head.
+type hop struct {
+	embed  bool
+	lo, hi int
+	head   bool
+}
+
+// hopAt cuts the hop that starts at the pass cursor and returns the
+// cursor after it. Fused and sharded passes cut where the placement's
+// extents end (cursor = layer). The blind per-module dispatcher of ΔKV
+// cuts at every module the way a library that cannot see the model
+// does — embed, each block, head: L+2 hops (cursor = module index).
+func (s *Session) hopAt(at, hi int) (hop, int) {
+	layers := len(s.caches)
+	switch {
+	case s.mode != ModeDeltaKV:
+		return hop{embed: at == 0, lo: at, hi: hi, head: hi == layers}, hi
+	case at == 0:
+		return hop{embed: true}, 1
+	case at <= layers:
+		return hop{lo: at - 1, hi: at}, at + 1
+	}
+	return hop{lo: layers, hi: layers, head: true}, at + 1
+}
+
+// hopOut indexes the nodes of a captured hop, whichever builder made it.
+type hopOut struct {
+	act                srg.NodeID // boundary activation for the next hop (no head)
+	logits, last, next srg.NodeID // full logits, final row, argmax (head)
+	// Per block of the hop: the node holding the full cache after the call
+	// (fresh rows at prefill, the appended concat at decode), and the node
+	// holding only the fresh rows — the ΔKV slice.
+	cacheK, cacheV, newK, newV []srg.NodeID
+}
+
+func llmOut(o models.LLMOutputs) hopOut {
+	return hopOut{logits: o.Logits, last: o.LastLogits, next: o.NextToken,
+		cacheK: o.CacheK, cacheV: o.CacheV, newK: o.NewK, newV: o.NewV}
+}
+
+// capture builds the hop's graph. A hop spanning the whole model uses
+// the monolithic builders (a segment graph computes the same tokens but
+// encodes ~1 % larger, and the per-token frame is the paper's fixed RPC
+// constant); a suffix pass over a gathered prefix and a shard of a pool
+// plan are segments; ΔKV's modules have their own.
+func (s *Session) capture(h hop, tokens []int64, pos int, x *tensor.Tensor, prefix []*nn.KVCache) (*lazy.Builder, hopOut) {
+	m := s.r.Model
+	switch {
+	case s.mode == ModeDeltaKV && h.embed:
+		b, act := m.BuildEmbedStep(tokens, pos)
+		return b, hopOut{act: act}
+	case s.mode == ModeDeltaKV && h.head:
+		b, logits, next := m.BuildHeadStep(x)
+		return b, hopOut{logits: logits, next: next}
+	case s.mode == ModeDeltaKV:
+		b, lo := m.BuildLayerStep(h.lo, x, nil, pos)
+		out := hopOut{act: lo.Out, newK: []srg.NodeID{lo.NewK}, newV: []srg.NodeID{lo.NewV}}
+		out.cacheK, out.cacheV = out.newK, out.newV
+		if pos > 0 {
+			out.cacheK, out.cacheV = []srg.NodeID{lo.AppendedK}, []srg.NodeID{lo.AppendedV}
+		}
+		return b, out
+	case prefix != nil || !h.embed || !h.head:
+		b, so := m.BuildSegment(models.SegmentSpec{
+			WithEmbed: h.embed, Tokens: tokens, StartPos: pos, X: x,
+			LoLayer: h.lo, HiLayer: h.hi, WithHead: h.head,
+			HistLen: pos, Caches: prefix,
+		})
+		return b, hopOut{act: so.Out, last: so.LastLogits, next: so.NextToken,
+			cacheK: so.CacheK, cacheV: so.CacheV, newK: so.NewK, newV: so.NewV}
+	case pos == 0:
+		b, o := m.BuildPrefill(tokens)
+		return b, llmOut(o)
+	}
+	b, o := m.BuildDecodeStep(tokens[0], pos, pos, s.caches)
+	return b, llmOut(o)
+}
+
+// buildHop captures the hop and states what crosses the wire for it:
+// which leaves travel inline and which bind resident state, which
+// outputs stay remote under the session's keys, which come home.
+func (s *Session) buildHop(h hop, rt Route, wantRows bool, tokens []int64, pos int, x *tensor.Tensor, prefix []*nn.KVCache) (*transport.Exec, hopOut) {
+	b, out := s.capture(h, tokens, pos, x, prefix)
+	ex := &transport.Exec{Graph: b.Graph()}
+	aware := s.mode == ModeSemAware
+	for _, n := range ex.Graph.Nodes() {
+		switch {
+		case n.Op == "param":
+			// Weights are resident except on the naive wire, which re-sends
+			// them in every call. The dedup hint collapses a repeat to a
+			// 32-byte hash on feature-negotiated transports; legacy
+			// connections strip it and the frame stays the blind encoding.
+			if s.mode == ModeNaive {
+				data, _ := b.ParamData(n.Ref)
+				ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data, Cache: true})
+			}
+		case n.Op != "input":
+		case n.Residency == srg.ResidencyStatefulKVCache && prefix == nil:
+			// Remote cache by handle: the tiny-handle round trip of §4. Only
+			// the semantics-aware wire knows epochs (under a pool, lineage
+			// overwrites them with the owning member's).
+			bd := transport.Binding{Ref: n.Ref, Key: s.scope + n.Ref}
+			if aware {
+				bd.Epoch = s.epoch
+			}
+			ex.Binds = append(ex.Binds, bd)
+		default:
+			// A gathered prefix rides the dedup plane: repeated prefixes
+			// hash-collapse after their first trip on a connection.
+			data, _ := b.InputData(n.Ref)
+			ex.Binds = append(ex.Binds, transport.Binding{
+				Ref: n.Ref, Inline: data, Cache: n.Residency == srg.ResidencyStatefulKVCache})
+		}
+	}
+	if s.mode != ModeNaive && rt.Handoff == nil {
+		ex.Keep = make(map[srg.NodeID]string, 2*len(out.cacheK))
+		for i := range out.cacheK {
+			ex.Keep[out.cacheK[i]] = s.scope + models.CacheRef(h.lo+i, "k")
+			ex.Keep[out.cacheV[i]] = s.scope + models.CacheRef(h.lo+i, "v")
+		}
+	}
+	switch {
+	case wantRows:
+		// The fresh rows come home once, for the radix insert and the
+		// handoff; the logits row does not (nobody reads it).
+		ex.Want = append(ex.Want, out.next)
+		for i := range out.newK {
+			ex.Want = append(ex.Want, out.newK[i], out.newV[i])
+		}
+	case aware && h.head:
+		ex.Want = []srg.NodeID{out.last, out.next}
+	case aware:
+		ex.Want = []srg.NodeID{out.act}
+	default:
+		// A blind RPC library materializes every declared output back to
+		// the caller: activations, the fresh KV rows of a cached module,
+		// the full logits matrix.
+		if !h.head {
+			ex.Want = append(ex.Want, out.act)
+		}
+		if s.mode == ModeDeltaKV {
+			for i := range out.newK {
+				ex.Want = append(ex.Want, out.newK[i], out.newV[i])
+			}
+		}
+		if h.head {
+			ex.Want = append(ex.Want, out.logits, out.next)
+		}
+	}
+	return ex, out
+}
+
+// route asks who executes the hop starting at layer lo right now. A
+// runner without a placement has one answer: the whole model on EP.
+func (s *Session) route(prefill bool, lo int) (Route, error) {
+	if p := s.r.placement; p != nil {
+		return p.Route(prefill, lo)
+	}
+	return Route{Hi: len(s.caches), EP: s.r.EP}, nil
+}
+
+// forward runs one pass — tokens at absolute position pos, over a
+// gathered prefix when the radix hit — and returns the next token plus,
+// at a prefill whose fresh KV rows are needed client-side, those rows.
+//
+// Remote passes are a sequence of hops. The inner loop is the only place
+// in the session stack that reissues a failed exec: on a rebindable
+// failure the route's Failover (the pool's evict-and-replan) or else the
+// runner's (lineage failover onto a spare) repairs the answer to "who
+// executes this hop", and the same hop is routed and built again — its
+// extent may have moved with the plan. Replay from lineage provenance
+// restores the pre-failure versions, so the reissued hop appends to the
+// same KV state the failed one saw.
+func (s *Session) forward(ctx context.Context, prefill bool, tokens []int64, pos int, prefix []*nn.KVCache) (next int64, newK, newV []*tensor.Tensor, err error) {
+	if s.mode == ModeLocal {
+		return s.forwardLocal(tokens, pos, prefix)
+	}
+	var x *tensor.Tensor // boundary activation, home between hops
+	for at := 0; ; {
+		var (
+			rt  Route
+			h   hop
+			out hopOut
+			ok  *transport.ExecOK
+		)
+		wantRows := false
+		var cause error // the exec failure being repaired
+		for repairs := 0; ; repairs++ {
+			// A repaired retry must not outlive the request: the caller's
+			// deadline is the only thing bounding a churn storm.
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					return 0, nil, nil, err
+				}
+			}
+			if rt, err = s.route(prefill, at); err != nil {
+				if repairs > 0 {
+					// The repair left nobody to run the hop (the pool's last
+					// member went). What the caller must classify is the
+					// failure that started it — a lost backend is retryable
+					// elsewhere — so both travel.
+					err = fmt.Errorf("%w (repairing after: %w)", err, cause)
+				}
+				return 0, nil, nil, err
+			}
+			var after int
+			h, after = s.hopAt(at, rt.Hi)
+			wantRows = prefill && (s.r.prefix != nil || rt.Handoff != nil)
+			var ex *transport.Exec
+			ex, out = s.buildHop(h, rt, wantRows, tokens, pos, x, prefix)
+			if ok, err = ExecEP(ctx, rt.EP, ex); err == nil {
+				at = after
+				break
+			}
+			f := rt.Failover
+			if f == nil {
+				f = s.r.Failover
+			}
+			if f == nil || f.Rebind == nil || repairs >= f.maxRebinds() || !f.rebindable(err) {
+				return 0, nil, nil, err
+			}
+			cause = err
+			if rerr := f.Rebind(err); rerr != nil {
+				return 0, nil, nil, fmt.Errorf("runtime: failover after %q: %w", err, rerr)
+			}
+			if f.OnRebind != nil {
+				f.OnRebind(err)
+			}
+		}
+		s.gpu += time.Duration(ok.GPUTimeNs)
+		if wantRows {
+			for i := range out.newK {
+				newK = append(newK, ok.Results[out.newK[i]])
+				newV = append(newV, ok.Results[out.newV[i]])
+			}
+		}
+		if rt.Handoff == nil {
+			s.epoch = ok.Epoch
+		} else {
+			// The lane kept nothing; the handoff installs prefix ++ rows
+			// where the session will decode.
+			hok, err := rt.Handoff(ctx, s.scope, prefix, newK, newV)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			s.gpu += time.Duration(hok.GPUTimeNs)
+			s.epoch = hok.Epoch
+		}
+		if h.head {
+			return ok.Results[out.next].I64()[0], newK, newV, nil
+		}
+		x = ok.Results[out.act]
+	}
 }
 
 // --- Local (upper bound) ---
 
-type localSession struct {
-	r      *LLMRunner
-	gpu    *time.Duration
-	scope  string
-	caches []*nn.KVCache
-	hist   int
-	keep   map[srg.NodeID]bool // cached stepKeep set, reused across steps
-}
-
-// stepKeep lists the node values a decode/prefill evaluation must
-// retain: the per-layer cache states and the sampled token. Everything
-// else is ephemeral and recycled mid-evaluation.
-// prev is reused when it already matches — decode steps capture
-// structurally identical graphs, so after the first step this
+// stepKeep lists the node values an in-process evaluation must retain:
+// the per-layer cache states, the sampled token and, for a prefix-cached
+// prefill, the fresh rows. Everything else is ephemeral and recycled
+// mid-evaluation. prev is reused when it already matches — decode steps
+// capture structurally identical graphs, so after the first step this
 // allocates nothing.
-func stepKeep(out models.LLMOutputs, prev map[srg.NodeID]bool) map[srg.NodeID]bool {
-	if len(prev) == 2*len(out.CacheK)+1 {
-		ok := prev[out.NextToken]
-		for i := 0; ok && i < len(out.CacheK); i++ {
-			ok = prev[out.CacheK[i]] && prev[out.CacheV[i]]
+func stepKeep(out hopOut, rows bool, prev map[srg.NodeID]bool) map[srg.NodeID]bool {
+	if !rows && len(prev) == 2*len(out.cacheK)+1 {
+		ok := prev[out.next]
+		for i := 0; ok && i < len(out.cacheK); i++ {
+			ok = prev[out.cacheK[i]] && prev[out.cacheV[i]]
 		}
 		if ok {
 			return prev
 		}
 	}
-	keep := make(map[srg.NodeID]bool, 2*len(out.CacheK)+1)
-	for i := range out.CacheK {
-		keep[out.CacheK[i]] = true
-		keep[out.CacheV[i]] = true
+	keep := make(map[srg.NodeID]bool, 4*len(out.cacheK)+1)
+	for i := range out.cacheK {
+		keep[out.cacheK[i]] = true
+		keep[out.cacheV[i]] = true
+		if rows {
+			keep[out.newK[i]] = true
+			keep[out.newV[i]] = true
+		}
 	}
-	keep[out.NextToken] = true
+	keep[out.next] = true
 	return keep
 }
 
-func (ls *localSession) prefill(_ context.Context, prompt []int64) (int64, error) {
-	b, out := ls.r.Model.BuildPrefill(prompt)
-	ls.keep = stepKeep(out, ls.keep)
-	vals, err := exec.GraphEphemeral(b.Graph(), BindAll(b), ls.keep)
+// forwardLocal is the ModeLocal oracle: the whole model, in-process, on
+// client-held caches. It shares the graph builders with the remote
+// hops and nothing else.
+func (s *Session) forwardLocal(tokens []int64, pos int, prefix []*nn.KVCache) (int64, []*tensor.Tensor, []*tensor.Tensor, error) {
+	wantRows := s.r.prefix != nil && !s.ready
+	b, out := s.capture(hop{embed: true, hi: len(s.caches), head: true}, tokens, pos, nil, prefix)
+	s.keep = stepKeep(out, wantRows, s.keep)
+	vals, err := exec.GraphEphemeral(b.Graph(), BindAll(b), s.keep)
 	if err != nil {
-		return 0, err
+		return 0, nil, nil, err
 	}
-	for i := range ls.caches {
-		k, v := vals[out.CacheK[i]], vals[out.CacheV[i]]
-		ls.caches[i].Append(k, v) // Append clones; the graph values are dead
-		k.Release()
-		v.Release()
-	}
-	*ls.gpu += modelGPUTime(b)
-	ls.hist = len(prompt)
-	return vals[out.NextToken].I64()[0], nil
-}
-
-func (ls *localSession) step(_ context.Context, tok int64) (int64, error) {
-	b, out := ls.r.Model.BuildDecodeStep(tok, ls.hist, ls.hist, ls.caches)
-	ls.keep = stepKeep(out, ls.keep)
-	vals, err := exec.GraphEphemeral(b.Graph(), BindAll(b), ls.keep)
-	if err != nil {
-		return 0, err
-	}
-	for i := range ls.caches {
-		// The appended concat holds the full updated cache; replace
-		// rather than append to stay exact. Concat copies, so the
-		// previous step's cache tensors are dead — recycle them.
-		oldK, oldV := ls.caches[i].K, ls.caches[i].V
-		ls.caches[i].K = vals[out.CacheK[i]]
-		ls.caches[i].V = vals[out.CacheV[i]]
-		oldK.Release()
-		oldV.Release()
-	}
-	*ls.gpu += modelGPUTime(b)
-	ls.hist++
-	return vals[out.NextToken].I64()[0], nil
-}
-
-// residentKeys reports the cache-plane keys of the client-local caches:
-// the state exists per session even though no endpoint holds it, and the
-// prefix cache's accounting wants the same key space in every mode.
-func (ls *localSession) residentKeys() []string {
-	return cacheKeys(ls.scope, ls.r.Model)
-}
-
-func (ls *localSession) remoteResident() bool { return false }
-
-// --- Naive (semantics-blind) ---
-
-// naiveSession re-uploads every weight on every remote call and keeps
-// nothing resident: each decode step replays the full forward pass over
-// the whole token history.
-type naiveSession struct {
-	r       *LLMRunner
-	gpu     *time.Duration
-	history []int64
-}
-
-func (ns *naiveSession) call(ctx context.Context) (int64, error) {
-	b, out := ns.r.Model.BuildPrefill(ns.history)
-	x := &transport.Exec{Graph: b.Graph()}
-	// Blind mode: every leaf inline, weights included. Params carry the
-	// dedup cache hint — on feature-negotiated transports a repeated
-	// weight collapses to a 32-byte hash ref after its first trip; on
-	// legacy connections the hint is stripped client-side and the frame
-	// stays byte-identical to the blind encoding.
-	for _, n := range b.Graph().Nodes() {
-		switch n.Op {
-		case "param":
-			data, _ := b.ParamData(n.Ref)
-			x.Binds = append(x.Binds, transport.Binding{Ref: n.Ref, Inline: data, Cache: true})
-		case "input":
-			data, _ := b.InputData(n.Ref)
-			x.Binds = append(x.Binds, transport.Binding{Ref: n.Ref, Inline: data})
+	var newK, newV []*tensor.Tensor
+	for i, c := range s.caches {
+		// The kept cache node holds the full updated state (concat
+		// copies), so the previous step's tensors are dead — recycle them.
+		oldK, oldV := c.K, c.V
+		c.K, c.V = vals[out.cacheK[i]], vals[out.cacheV[i]]
+		if oldK != nil {
+			oldK.Release()
+			oldV.Release()
+		}
+		if wantRows {
+			newK, newV = append(newK, vals[out.newK[i]]), append(newV, vals[out.newV[i]])
 		}
 	}
-	// A blind RPC library materializes all declared outputs back to
-	// the caller: the full logits matrix and the next token.
-	x.Want = []srg.NodeID{out.Logits, out.NextToken}
-	ok, err := ns.r.execFT(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	*ns.gpu += time.Duration(ok.GPUTimeNs)
-	return ok.Results[out.NextToken].I64()[0], nil
+	s.gpu += modelGPUTime(b)
+	return vals[out.next].I64()[0], newK, newV, nil
 }
-
-func (ns *naiveSession) prefill(ctx context.Context, prompt []int64) (int64, error) {
-	ns.history = append([]int64(nil), prompt...)
-	return ns.call(ctx)
-}
-
-func (ns *naiveSession) step(ctx context.Context, tok int64) (int64, error) {
-	ns.history = append(ns.history, tok)
-	return ns.call(ctx)
-}
-
-// residentKeys is empty but non-nil: the naive replay strategy genuinely
-// keeps no per-session cache state anywhere — it re-runs the whole
-// history each call — and "accounted, zero keys" must be distinguishable
-// from "cannot enumerate" (nil).
-func (ns *naiveSession) residentKeys() []string { return []string{} }
-
-func (ns *naiveSession) remoteResident() bool { return false }
-
-// --- ΔKV (semantics-blind with transport-level caching) ---
-
-// deltaKVSession keeps weights and per-layer caches resident (the
-// transport's content cache) but dispatches the model the way a blind
-// runtime sees it: one RPC per module (embedding, each block, head), and
-// every call's outputs — activations and fresh KV rows, the "delta
-// slice" — are shipped back to the client because the library cannot
-// know the client will never read them.
-type deltaKVSession struct {
-	r     *LLMRunner
-	gpu   *time.Duration
-	scope string
-	x     *tensor.Tensor // current activation at the client
-	hist  int
-}
-
-// embedCall runs the embedding module remotely (the CPU client holds no
-// weights) and materializes the activation home.
-func (ds *deltaKVSession) embedCall(ctx context.Context, tokens []int64, startPos int) error {
-	eb, embID := ds.r.Model.BuildEmbedStep(tokens, startPos)
-	ex := &transport.Exec{Graph: eb.Graph()}
-	for _, n := range eb.Graph().Nodes() {
-		if n.Op == "input" {
-			data, _ := eb.InputData(n.Ref)
-			ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-		}
-	}
-	ex.Want = append(ex.Want, embID)
-	ok, err := ds.r.execFT(ctx, ex)
-	if err != nil {
-		return err
-	}
-	*ds.gpu += time.Duration(ok.GPUTimeNs)
-	ds.x = ok.Results[embID]
-	return nil
-}
-
-// layerCall runs one block remotely. hist 0 = prefill (no cache);
-// otherwise the cache binds by (scoped) key. Either way the updated
-// cache is kept remotely AND the delta rows come back to the client.
-func (ds *deltaKVSession) layerCall(ctx context.Context, layer, hist int) error {
-	b, lo := ds.r.Model.BuildLayerStep(layer, ds.x, nil, hist)
-	ex := &transport.Exec{Graph: b.Graph()}
-	xt, _ := b.InputData("gpt.x")
-	ex.Binds = append(ex.Binds, transport.Binding{Ref: "gpt.x", Inline: xt})
-	kRef, vRef := models.CacheRef(layer, "k"), models.CacheRef(layer, "v")
-	kKey, vKey := ds.scope+kRef, ds.scope+vRef
-	ex.Keep = map[srg.NodeID]string{}
-	if hist > 0 {
-		ex.Binds = append(ex.Binds,
-			transport.Binding{Ref: kRef, Key: kKey},
-			transport.Binding{Ref: vRef, Key: vKey})
-		ex.Keep[lo.AppendedK] = kKey
-		ex.Keep[lo.AppendedV] = vKey
-	} else {
-		ex.Keep[lo.NewK] = kKey
-		ex.Keep[lo.NewV] = vKey
-	}
-	ex.Want = append(ex.Want, lo.Out, lo.NewK, lo.NewV)
-	ok, err := ds.r.execFT(ctx, ex)
-	if err != nil {
-		return err
-	}
-	*ds.gpu += time.Duration(ok.GPUTimeNs)
-	ds.x = ok.Results[lo.Out]
-	return nil
-}
-
-// headCall runs the final norm + lm head remotely; the blind library
-// materializes the full logits matrix home along with the argmax.
-func (ds *deltaKVSession) headCall(ctx context.Context) (int64, error) {
-	hb, logitsID, nextID := ds.r.Model.BuildHeadStep(ds.x)
-	hx := &transport.Exec{Graph: hb.Graph()}
-	xt, _ := hb.InputData("gpt.x")
-	hx.Binds = append(hx.Binds, transport.Binding{Ref: "gpt.x", Inline: xt})
-	hx.Want = append(hx.Want, logitsID, nextID)
-	hok, err := ds.r.execFT(ctx, hx)
-	if err != nil {
-		return 0, err
-	}
-	*ds.gpu += time.Duration(hok.GPUTimeNs)
-	return hok.Results[nextID].I64()[0], nil
-}
-
-func (ds *deltaKVSession) forward(ctx context.Context, tokens []int64, startPos int) (int64, error) {
-	if err := ds.embedCall(ctx, tokens, startPos); err != nil {
-		return 0, err
-	}
-	for layer := range ds.r.Model.Blocks {
-		if err := ds.layerCall(ctx, layer, startPos); err != nil {
-			return 0, err
-		}
-	}
-	return ds.headCall(ctx)
-}
-
-func (ds *deltaKVSession) prefill(ctx context.Context, prompt []int64) (int64, error) {
-	// One-time provisioning: weights remain remote (not counted in phase
-	// traffic, exactly as the paper's setup pre-installs the model).
-	if err := ds.r.ensureWeights(); err != nil {
-		return 0, err
-	}
-	tok, err := ds.forward(ctx, prompt, 0)
-	if err != nil {
-		return 0, err
-	}
-	ds.hist = len(prompt)
-	return tok, nil
-}
-
-func (ds *deltaKVSession) step(ctx context.Context, tok int64) (int64, error) {
-	next, err := ds.forward(ctx, []int64{tok}, ds.hist)
-	if err != nil {
-		return 0, err
-	}
-	ds.hist++
-	return next, nil
-}
-
-func (ds *deltaKVSession) residentKeys() []string {
-	return cacheKeys(ds.scope, ds.r.Model)
-}
-
-// remoteResident is false for unscoped sessions: their caches live under
-// the bare refs shared with Generate and other unscoped sessions, so
-// Close must not Free them out from under a neighbour.
-func (ds *deltaKVSession) remoteResident() bool { return ds.scope != "" }
-
-// --- Semantics-Aware (Genie) ---
-
-// semSession executes each phase as one fused RPC: weights and caches
-// stay remote under stable (scoped) keys; only the prompt/token go up
-// and only the final logits row + next token come down.
-type semSession struct {
-	r         *LLMRunner
-	gpu       *time.Duration
-	scope     string
-	epoch     uint32
-	hist      int
-	nilCaches []*nn.KVCache
-}
-
-func (ss *semSession) prefill(ctx context.Context, prompt []int64) (int64, error) {
-	if err := ss.r.ensureWeights(); err != nil {
-		return 0, err
-	}
-	b, out := ss.r.Model.BuildPrefill(prompt)
-	ex := &transport.Exec{Graph: b.Graph()}
-	for _, n := range b.Graph().Nodes() {
-		if n.Op == "input" {
-			data, _ := b.InputData(n.Ref)
-			ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-		}
-	}
-	ex.Keep = map[srg.NodeID]string{}
-	for i := range out.CacheK {
-		ex.Keep[out.CacheK[i]] = ss.scope + models.CacheRef(i, "k")
-		ex.Keep[out.CacheV[i]] = ss.scope + models.CacheRef(i, "v")
-	}
-	ex.Want = append(ex.Want, out.LastLogits, out.NextToken)
-	ok, err := ss.r.execFT(ctx, ex)
-	if err != nil {
-		return 0, err
-	}
-	*ss.gpu += time.Duration(ok.GPUTimeNs)
-	ss.epoch = ok.Epoch
-	ss.hist = len(prompt)
-	return ok.Results[out.NextToken].I64()[0], nil
-}
-
-func (ss *semSession) step(ctx context.Context, tok int64) (int64, error) {
-	b, out := ss.r.Model.BuildDecodeStep(tok, ss.hist, ss.hist, ss.nilCaches)
-	ex := &transport.Exec{Graph: b.Graph()}
-	for _, n := range b.Graph().Nodes() {
-		if n.Op != "input" {
-			continue
-		}
-		if n.Residency == srg.ResidencyStatefulKVCache {
-			// Remote cache by handle: the tiny-handle round trip of §4's
-			// Semantics-Aware mode.
-			ex.Binds = append(ex.Binds, transport.Binding{
-				Ref: n.Ref, Key: ss.scope + n.Ref, Epoch: ss.epoch})
-			continue
-		}
-		data, _ := b.InputData(n.Ref)
-		ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-	}
-	ex.Keep = map[srg.NodeID]string{}
-	for i := range out.CacheK {
-		ex.Keep[out.CacheK[i]] = ss.scope + models.CacheRef(i, "k")
-		ex.Keep[out.CacheV[i]] = ss.scope + models.CacheRef(i, "v")
-	}
-	ex.Want = append(ex.Want, out.LastLogits, out.NextToken)
-	ok, err := ss.r.execFT(ctx, ex)
-	if err != nil {
-		return 0, err
-	}
-	*ss.gpu += time.Duration(ok.GPUTimeNs)
-	ss.epoch = ok.Epoch
-	ss.hist++
-	return ok.Results[out.NextToken].I64()[0], nil
-}
-
-func (ss *semSession) residentKeys() []string {
-	return cacheKeys(ss.scope, ss.r.Model)
-}
-
-// remoteResident is false for unscoped sessions — see deltaKVSession.
-func (ss *semSession) remoteResident() bool { return ss.scope != "" }

@@ -34,11 +34,10 @@ func localRunner(seed int64, ep Endpoint) *LLMRunner {
 	return &LLMRunner{Model: models.NewGPT(rng, models.TinyGPT), EP: ep}
 }
 
-// TestResidentKeysUniformAcrossModes is the regression test for the
-// residency-accounting fix: localSession and naiveSession used to return
-// nil from residentKeys, making local/naive sessions indistinguishable
-// from strategies that cannot enumerate their state. Every built-in mode
-// must now report a non-nil key set in the same key space.
+// TestResidentKeysUniformAcrossModes pins the residency accounting: every
+// mode reports a non-nil key set in the same key space — the naive
+// replay's is empty, not nil, because "accounted, zero keys" is an
+// answer.
 func TestResidentKeysUniformAcrossModes(t *testing.T) {
 	const scope = "req7/"
 	wantScoped := 2 * models.TinyGPT.Layers

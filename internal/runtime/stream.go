@@ -36,7 +36,7 @@ func (r *LLMRunner) Stream(ctx context.Context, mode Mode, prompt []int64, steps
 		defer close(out)
 		// A per-stream runner clone so OnToken and stop state never race
 		// concurrent streams over the same model/endpoint.
-		rr := &LLMRunner{Model: r.Model, EP: r.EP, Counters: r.Counters, WeightsResident: r.WeightsResident}
+		rr := *r
 		idx := 0
 		rr.OnToken = func(token int64) bool {
 			select {

@@ -13,9 +13,12 @@ import (
 
 	"genie/internal/backend"
 	"genie/internal/chaos"
+	"genie/internal/cluster"
 	"genie/internal/device"
+	"genie/internal/kvcache"
 	"genie/internal/metrics"
 	"genie/internal/models"
+	"genie/internal/pool"
 	"genie/internal/runtime"
 	"genie/internal/transport"
 )
@@ -231,73 +234,113 @@ func TestRetryBudgetExhaustedSheds503(t *testing.T) {
 }
 
 // TestHungPeerFailsOverWithinOpTimeout is the wedged-engine regression:
-// b0's link silently swallows frames (a hung peer), the per-op timeout
-// rescues the lane within its bound, the breaker opens, and the request
-// completes on the healthy lane with the exact fault-free tokens.
+// the link to one backend of lane 0 silently swallows frames (a hung
+// peer), the per-op timeout rescues the lane within its bound, the
+// breaker opens, and the request completes on the healthy lane with the
+// exact fault-free tokens. Every kind of lane must honour the deadline
+// at the RPC: a plain runner on the hung backend, a prefill/decode split
+// whose decode side hangs (the ΔKV handoff is its first RPC there), and
+// a pool whose only member hangs.
 func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
-	snap := metrics.SnapGoroutines()
-	rng := rand.New(rand.NewSource(5))
-	gpt := models.NewGPT(rng, models.TinyGPT)
-	want := refTokens(t, unitPrompt, 3)
+	for _, tc := range []struct {
+		name string
+		// lane0 builds the doomed lane's runner over the hung backend;
+		// extra lists the healthy backends it started besides.
+		lane0 func(t *testing.T, gpt *models.GPT, hung *servedBackend) (r *runtime.LLMRunner, extra []*servedBackend)
+	}{
+		{"plain", func(_ *testing.T, _ *models.GPT, hung *servedBackend) (*runtime.LLMRunner, []*servedBackend) {
+			return hung.runner, nil
+		}},
+		{"split_decode", func(t *testing.T, gpt *models.GPT, hung *servedBackend) (*runtime.LLMRunner, []*servedBackend) {
+			pre := newServedBackend(gpt, nil)
+			sp, err := kvcache.NewSplit(kvcache.SplitConfig{Model: gpt, Prefill: pre.runner.EP, Decode: hung.runner.EP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.InstallWeights(); err != nil {
+				t.Fatal(err)
+			}
+			return sp.Runner(), []*servedBackend{pre}
+		}},
+		{"pool_member", func(t *testing.T, gpt *models.GPT, hung *servedBackend) (*runtime.LLMRunner, []*servedBackend) {
+			pm, err := pool.NewManager(pool.Config{Model: gpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pm.Join("m0", hung.runner.EP, device.A100, cluster.Link{Bandwidth: 3.125e9}); err != nil {
+				t.Fatal(err)
+			}
+			return pm.Runner(), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := metrics.SnapGoroutines()
+			rng := rand.New(rand.NewSource(5))
+			gpt := models.NewGPT(rng, models.TinyGPT)
+			want := refTokens(t, unitPrompt, 3)
 
-	plan := chaos.NewPlan(13, chaos.Config{DropWriteProb: 1})
-	plan.SetActive(false) // let NewEngine install weights cleanly
-	b0 := newServedBackend(gpt, plan)
-	b1 := newServedBackend(gpt, nil)
+			plan := chaos.NewPlan(13, chaos.Config{DropWriteProb: 1})
+			plan.SetActive(false) // let weights install cleanly
+			b0 := newServedBackend(gpt, plan)
+			b1 := newServedBackend(gpt, nil)
+			r0, extra := tc.lane0(t, gpt, b0)
 
-	e, err := NewEngine(Config{
-		Mode:             runtime.ModeSemAware,
-		OpTimeout:        150 * time.Millisecond,
-		RetryBudget:      1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-	}, []Backend{
-		{Name: "b0", Runner: b0.runner},
-		{Name: "b1", Runner: b1.runner},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.SetActive(true)
+			e, err := NewEngine(Config{
+				Mode:             runtime.ModeSemAware,
+				OpTimeout:        150 * time.Millisecond,
+				RetryBudget:      1,
+				BreakerThreshold: 1,
+				BreakerCooldown:  time.Minute,
+			}, []Backend{
+				{Name: "b0", Runner: r0},
+				{Name: "b1", Runner: b1.runner},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.SetActive(true)
 
-	ar, err := e.enqueue(context.Background(), Request{
-		Tenant: "alice", Prompt: unitPrompt, MaxTokens: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			ar, err := e.enqueue(context.Background(), Request{
+				Tenant: "alice", Prompt: unitPrompt, MaxTokens: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	start := time.Now()
-	e.lanes[0].iterate() // prefill hangs on the dropped frame until OpTimeout
-	if wedged := time.Since(start); wedged > 2*time.Second {
-		t.Fatalf("hung peer wedged the lane for %v", wedged)
-	}
-	if isDone(ar) {
-		t.Fatalf("request retired on the hung lane: err=%v", ar.err)
-	}
-	if plan.Injected()["drop_write"] == 0 {
-		t.Fatal("chaos dropped no writes")
-	}
+			start := time.Now()
+			e.lanes[0].iterate() // prefill hangs on the dropped frame until OpTimeout
+			if wedged := time.Since(start); wedged > 2*time.Second {
+				t.Fatalf("hung peer wedged the lane for %v", wedged)
+			}
+			if isDone(ar) {
+				t.Fatalf("request retired on the hung lane: err=%v", ar.err)
+			}
+			if plan.Injected()["drop_write"] == 0 {
+				t.Fatal("chaos dropped no writes")
+			}
 
-	for i := 0; i < 50 && !isDone(ar); i++ {
-		e.lanes[1].iterate()
-	}
-	if !isDone(ar) || ar.err != nil {
-		t.Fatalf("request did not recover on healthy lane: done=%v err=%v", isDone(ar), ar.err)
-	}
-	for i := range want {
-		if ar.res.Tokens[i] != want[i] {
-			t.Fatalf("tokens %v after hung-peer failover, want %v", ar.res.Tokens, want)
-		}
-	}
-	st := e.Stats()
-	if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" {
-		t.Errorf("b0 health = %+v, want open breaker after hang", bh)
-	}
+			for i := 0; i < 50 && !isDone(ar); i++ {
+				e.lanes[1].iterate()
+			}
+			if !isDone(ar) || ar.err != nil {
+				t.Fatalf("request did not recover on healthy lane: done=%v err=%v", isDone(ar), ar.err)
+			}
+			for i := range want {
+				if ar.res.Tokens[i] != want[i] {
+					t.Fatalf("tokens %v after hung-peer failover, want %v", ar.res.Tokens, want)
+				}
+			}
+			st := e.Stats()
+			if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" {
+				t.Errorf("b0 health = %+v, want open breaker after hang", bh)
+			}
 
-	b0.stop()
-	b1.stop()
-	snap.Check(t)
+			for _, sb := range append(extra, b0, b1) {
+				sb.stop()
+			}
+			snap.Check(t)
+		})
+	}
 }
 
 // TestBreakerProbeRejoinsRepairedBackend: after a failover, repairing

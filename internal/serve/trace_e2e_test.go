@@ -12,6 +12,7 @@ import (
 
 	"genie/internal/backend"
 	"genie/internal/device"
+	"genie/internal/kvcache"
 	"genie/internal/models"
 	"genie/internal/obs"
 	"genie/internal/runtime"
@@ -36,25 +37,53 @@ import (
 // encoding/json and that /metrics exposes the serve + transport +
 // backend families. Run under -race: spans are recorded from the HTTP
 // goroutine, the lane goroutine, and the backend's serve goroutine.
+//
+// The tree must have the same shape whatever the lane is made of: the
+// split lane's prefill, handoff and decode RPCs all carry the session's
+// context to the wire.
 func TestTraceSpanTreeEndToEnd(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { testTraceSpanTree(t, false) })
+	t.Run("split", func(t *testing.T) { testTraceSpanTree(t, true) })
+}
+
+func testTraceSpanTree(t *testing.T, split bool) {
 	tr := obs.NewTracer(obs.TracerConfig{Proc: "e2e", Capacity: 4096})
 	defer tr.Stop()
 	reg := obs.NewRegistry()
 
-	srv := backend.NewServer(device.A100)
-	srv.SetTracer(tr)
-	srv.Instrument(reg)
-	cconn, sconn := transport.Pipe(nil, nil)
-	defer cconn.Close()
-	defer sconn.Close()
-	cconn.SetTelemetry(transport.NewTelemetry(reg))
-	go func() { _ = srv.Serve(sconn) }()
+	// startTraced serves one traced, instrumented backend over a pipe.
+	startTraced := func() *transport.Conn {
+		srv := backend.NewServer(device.A100)
+		srv.SetTracer(tr)
+		srv.Instrument(reg)
+		cconn, sconn := transport.Pipe(nil, nil)
+		t.Cleanup(func() {
+			cconn.Close()
+			sconn.Close()
+		})
+		cconn.SetTelemetry(transport.NewTelemetry(reg))
+		go func() { _ = srv.Serve(sconn) }()
+		return cconn
+	}
 
 	rng := rand.New(rand.NewSource(tcpSeed))
+	cconn := startTraced()
 	r := &runtime.LLMRunner{
 		Model:    models.NewGPT(rng, models.TinyGPT),
 		EP:       transport.NewClient(cconn),
 		Counters: cconn.Counters(),
+	}
+	if split {
+		sp, err := kvcache.NewSplit(kvcache.SplitConfig{
+			Model: r.Model, Prefill: transport.NewClient(startTraced()), Decode: r.EP, DecodeCounters: r.Counters,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.InstallWeights(); err != nil {
+			t.Fatal(err)
+		}
+		r = sp.Runner()
 	}
 	e, err := NewEngine(Config{
 		Mode:    runtime.ModeSemAware,
@@ -152,6 +181,20 @@ func TestTraceSpanTreeEndToEnd(t *testing.T) {
 	}
 	if execs == 0 {
 		t.Fatal("no backend.exec spans recorded")
+	}
+	// Every decode step reaches the wire with its context: one
+	// transport.exec under each session.step.
+	steps, stepExecs := 0, 0
+	for _, s := range spans {
+		switch {
+		case s.Name == "session.step":
+			steps++
+		case s.Name == "transport.exec" && byID[s.Parent].Name == "session.step":
+			stepExecs++
+		}
+	}
+	if steps == 0 || stepExecs != steps {
+		t.Fatalf("%d transport.exec spans under %d session.step spans", stepExecs, steps)
 	}
 
 	// Chrome trace export must be valid JSON that encoding/json can
