@@ -64,10 +64,15 @@ pool:
 # Fuzz* seed corpus as unit cases), pooled-encoder equivalence, and the
 # end-to-end contracts — feature negotiation, content-hash dedup,
 # legacy byte-identity with features off, and the quantize-on-upload
-# policy.
+# policy. Resident step plans: the graph diff/apply pair and the
+# non-mutating fingerprint (srg), the plan frame codec, slot mirror and
+# the round-trip lock it relies on (transport), and slot life cycle over
+# a real Serve loop (backend). Every alternative names at least one test
+# (go test -list).
 wire:
-	$(GO) test -race -count=1 ./internal/transport/ -run 'Fuzz|Pooled|Hello|Ref|Delta|Compress'
-	$(GO) test -race -count=1 ./internal/backend/ -run 'Wire|Negotiate|Dedup|Delta|Compress|Legacy|QuantPolicy'
+	$(GO) test -race -count=1 ./internal/srg/ -run 'Diff|Fingerprint'
+	$(GO) test -race -count=1 ./internal/transport/ -run 'Fuzz|Pooled|Ref|Delta|Compress|Plan|RoundTrips'
+	$(GO) test -race -count=1 ./internal/backend/ -run 'Negotiate|Dedup|Delta|Compress|Legacy|QuantPolicy|Plan'
 
 # Prefix KV cache + prefill/decode split under the race detector:
 # radix lookup/insert/split/evict mechanics, the exact ΔKV handoff and

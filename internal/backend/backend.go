@@ -394,7 +394,12 @@ func (s *Server) Exec(x *transport.Exec) (*transport.ExecOK, error) {
 	epoch := s.epoch
 	s.mu.Unlock()
 
-	out := &transport.ExecOK{Epoch: epoch, GPUTimeNs: busy, GraphFP: x.Graph.Fingerprint()}
+	out := &transport.ExecOK{Epoch: epoch, GPUTimeNs: busy}
+	if !x.Repeat {
+		// A resident plan's graph never crossed the wire whole, and nobody
+		// who marks an exec repeatable reads the attestation.
+		out.GraphFP = x.Graph.Fingerprint()
+	}
 	if len(x.Keep) > 0 {
 		out.Kept = make(map[string]int64, len(x.Keep))
 		for id, key := range x.Keep {

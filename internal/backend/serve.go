@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 
+	"genie/internal/srg"
 	"genie/internal/tensor"
 	"genie/internal/transport"
 )
@@ -23,6 +24,10 @@ func (s *Server) Serve(conn *transport.Conn) error {
 		return nil // already draining: refuse the connection
 	}
 	defer s.unregister(conn)
+	// The connection's resident step plans (transport/plan.go): decoded
+	// graphs only, so they live and die with this loop and need nothing
+	// from Crash or the epoch.
+	var plans [transport.PlanSlots]*srg.Graph
 	for {
 		t, env, payload, err := conn.RecvEnv()
 		if err != nil {
@@ -35,9 +40,14 @@ func (s *Server) Serve(conn *transport.Conn) error {
 		// A non-zero envelope means the caller is tracing: the server's
 		// span for this RPC parents under the client-side transport span,
 		// stitching one tree across the process boundary.
-		span := s.tracer.RemoteSpan(env.Trace, env.Span, "backend."+transport.KindName(t))
+		// Spans name the operation, not its encoding: a plan frame is an exec.
+		op := t
+		if t == transport.MsgExecPlan {
+			op = transport.MsgExec
+		}
+		span := s.tracer.RemoteSpan(env.Trace, env.Span, "backend."+transport.KindName(op))
 		span.SetAttrInt("payload_bytes", int64(len(payload)))
-		rt, rp := s.handle(conn, t, payload)
+		rt, rp := s.handle(conn, plans[:], t, payload)
 		span.SetAttrInt("reply_bytes", int64(len(rp)))
 		span.End()
 		err = conn.SendEnv(rt, env, rp)
@@ -102,7 +112,7 @@ func (s *Server) Drain() {
 	s.connMu.Unlock()
 }
 
-func (s *Server) handle(conn *transport.Conn, t transport.MsgType, payload []byte) (transport.MsgType, []byte) {
+func (s *Server) handle(conn *transport.Conn, plans []*srg.Graph, t transport.MsgType, payload []byte) (transport.MsgType, []byte) {
 	fail := func(err error) (transport.MsgType, []byte) {
 		return transport.MsgErr, transport.EncodeErr(err)
 	}
@@ -181,8 +191,19 @@ func (s *Server) handle(conn *transport.Conn, t transport.MsgType, payload []byt
 			return fail(err)
 		}
 		return transport.MsgUploadOK, transport.EncodeUploadOK(ack)
-	case transport.MsgExec:
-		x, err := transport.DecodeExec(payload)
+	case transport.MsgExec, transport.MsgExecPlan:
+		// A plan frame names a graph resident in one of the connection's
+		// slots; past the decode it is the same exec.
+		var x *transport.Exec
+		var err error
+		switch {
+		case t == transport.MsgExec:
+			x, err = transport.DecodeExec(payload)
+		case conn.Features()&transport.FeatPlan == 0:
+			err = fmt.Errorf("backend: plan frame on a connection that was not granted resident plans")
+		default:
+			x, err = transport.DecodeExecPlan(payload, plans)
+		}
 		if err != nil {
 			return fail(err)
 		}

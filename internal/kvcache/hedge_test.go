@@ -24,12 +24,16 @@ func livePins(m *Manager) int {
 	return len(m.pins)
 }
 
-// TestHedgedPrefillDedup forces every prefill to hedge (a nanosecond
-// deadline) so two lanes race each request, and checks the invariants
-// the race must not break: tokens bit-identical to the local baseline,
-// exactly one winner's KV inserted (cache accounting identical to an
-// unhedged run), no pinned pages left behind, and no goroutine leaked —
-// whether the loser finished or was cancelled in flight.
+// TestHedgedPrefillDedup forces the cold prefill to hedge — the primary
+// lane's every socket operation is held 25 ms, an order of magnitude past
+// the hedge deadline, so the timer always fires before the primary can
+// answer (a short deadline alone does not: a finished primary and a fired
+// timer can both be ready, and select then picks at random) — and checks
+// the invariants the race must not break: tokens bit-identical to the
+// local baseline, exactly one winner's KV inserted (cache accounting
+// identical to an unhedged run), no pinned pages left behind, and no
+// goroutine leaked — whether the loser finished or was cancelled in
+// flight.
 func TestHedgedPrefillDedup(t *testing.T) {
 	snap := metrics.SnapGoroutines()
 
@@ -55,7 +59,9 @@ func TestHedgedPrefillDedup(t *testing.T) {
 	generateScoped(t, refSp.Runner(), runtime.ModeSemAware, "ref0/", parityPrompt, steps)
 	refStats := refMgr.Snapshot()
 
-	laneA, laneB := startPipeBackend(t), startPipeBackend(t)
+	plan := chaos.NewPlan(7, chaos.Config{DelayProb: 1, Delay: 25 * time.Millisecond})
+	plan.SetActive(false) // clean install; the delay is armed after it
+	laneA, laneB := startChaosBackend(t, plan), startPipeBackend(t)
 	decodeBE := startPipeBackend(t)
 	mgr, err := NewManager(Config{Model: model, BudgetBytes: 1 << 20, PageTokens: 4})
 	if err != nil {
@@ -70,7 +76,7 @@ func TestHedgedPrefillDedup(t *testing.T) {
 			{Name: "b", EP: laneB.cli},
 		},
 		HedgePrefill: true,
-		HedgeFloor:   time.Nanosecond, // hedge always fires: both lanes race
+		HedgeFloor:   2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +84,7 @@ func TestHedgedPrefillDedup(t *testing.T) {
 	if err := sp.InstallWeights(); err != nil {
 		t.Fatal(err)
 	}
+	plan.SetActive(true)
 	r := sp.Runner()
 
 	// Cold request under a forced hedge.

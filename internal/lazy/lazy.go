@@ -188,7 +188,7 @@ func (b *Builder) Param(name string, t *tensor.Tensor) Value {
 
 // Input registers an external per-call input.
 func (b *Builder) Input(name string, t *tensor.Tensor) Value {
-	return b.inputWithResidency(name, t, srg.ResidencyExternalInput)
+	return b.inputWithResidency(name, t, tensor.MetaOf(t), srg.ResidencyExternalInput)
 }
 
 // StatefulInput registers an input whose data persists and grows across
@@ -196,20 +196,30 @@ func (b *Builder) Input(name string, t *tensor.Tensor) Value {
 // external_input. The frontend's pattern recognizer also infers this for
 // un-annotated graphs; this is the explicit path.
 func (b *Builder) StatefulInput(name string, t *tensor.Tensor) Value {
-	return b.inputWithResidency(name, t, srg.ResidencyStatefulKVCache)
+	return b.inputWithResidency(name, t, tensor.MetaOf(t), srg.ResidencyStatefulKVCache)
 }
 
-func (b *Builder) inputWithResidency(name string, t *tensor.Tensor, r srg.Residency) Value {
+// StatefulInputMeta is StatefulInput for state the client does not hold
+// (a remote-resident KV cache the runtime binds by key): the leaf carries
+// the descriptor capture needs and no backing store, and InputData
+// reports it absent. The captured graph is the one StatefulInput builds
+// over a tensor of that descriptor.
+func (b *Builder) StatefulInputMeta(name string, meta tensor.Meta) Value {
+	return b.inputWithResidency(name, nil, meta, srg.ResidencyStatefulKVCache)
+}
+
+func (b *Builder) inputWithResidency(name string, t *tensor.Tensor, meta tensor.Meta, r srg.Residency) Value {
 	ref := name
 	if p := b.ModulePath(); p != "" {
 		ref = p + "." + name
 	}
-	if _, dup := b.inputs[ref]; dup {
+	if _, dup := b.inputResidency[ref]; dup {
 		panic(fmt.Sprintf("lazy: duplicate input %q", ref))
 	}
-	b.inputs[ref] = t
+	if t != nil {
+		b.inputs[ref] = t
+	}
 	b.inputResidency[ref] = r
-	meta := tensor.MetaOf(t)
 	return b.add(&srg.Node{
 		Op: "input", Ref: ref,
 		Residency: r,

@@ -211,6 +211,41 @@ func TestBindInputRebinds(t *testing.T) {
 	}
 }
 
+// TestStatefulInputMetaCapturesTheSameGraph: a cache leaf known only by
+// its descriptor captures exactly the graph a zero tensor of that shape
+// does — the frames do not move — and holds no data.
+func TestStatefulInputMetaCapturesTheSameGraph(t *testing.T) {
+	capture := func(meta bool) *Builder {
+		b := NewBuilder("t")
+		b.PushModule("m")
+		x := b.Input("x", tensor.New(tensor.F32, 1, 8))
+		var cache Value
+		if meta {
+			cache = b.StatefulInputMeta("cache", tensor.Meta{DType: tensor.F32, Shape: tensor.Shape{5, 8}})
+		} else {
+			cache = b.StatefulInput("cache", tensor.New(tensor.F32, 5, 8))
+		}
+		b.MarkOutput(b.MatMulT(x, b.Concat(0, cache, x)))
+		return b
+	}
+	with, without := capture(false), capture(true)
+	if with.Graph().Fingerprint() != without.Graph().Fingerprint() {
+		t.Fatal("a meta-only cache leaf changed the captured graph")
+	}
+	if _, ok := with.InputData("m.cache"); !ok {
+		t.Error("concrete cache leaf lost its data")
+	}
+	if data, ok := without.InputData("m.cache"); ok || data != nil {
+		t.Error("meta-only cache leaf reports data")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second input under a meta-only leaf's name was accepted")
+		}
+	}()
+	without.Input("cache", tensor.New(tensor.F32, 1))
+}
+
 func TestGraphIsValidAfterCapture(t *testing.T) {
 	b := NewBuilder("valid")
 	x := b.Input("x", tensor.New(tensor.F32, 4, 8))

@@ -217,10 +217,8 @@ func (m *GPT) BuildDecodeStep(token int64, pos, histLen int, caches []*nn.KVCach
 		posv := m.Pos.Lookup(b, "wpe", b.Input("position", positions(pos, 1)))
 		x = b.Add(x, posv)
 		for i, blk := range m.Blocks {
-			ck := cacheTensor(caches[i].K, histLen, m.Cfg.Dim)
-			cv := cacheTensor(caches[i].V, histLen, m.Cfg.Dim)
-			cacheK := b.StatefulInput(cacheName(i, "k"), ck)
-			cacheV := b.StatefulInput(cacheName(i, "v"), cv)
+			cacheK := cacheInput(b, cacheName(i, "k"), caches[i].K, histLen, m.Cfg.Dim)
+			cacheV := cacheInput(b, cacheName(i, "v"), caches[i].V, histLen, m.Cfg.Dim)
 			var k, v lazy.Value
 			x, k, v = blk.ForwardKV(b, fmt.Sprintf("blocks.%d", i), x, cacheK, cacheV)
 			// The appended caches are the concat nodes (cache ++ new).
@@ -261,18 +259,18 @@ func appendedCache(b *lazy.Builder, cacheLeaf srg.NodeID) srg.NodeID {
 	panic("models: cache leaf has no concat consumer")
 }
 
-// cacheTensor returns the concrete cache tensor, or a zero placeholder of
-// the right shape when data is client-absent (remote-resident mode). The
-// placeholder is never executed against — the runtime rebinds the leaf to
-// a remote key — but the graph needs shapes for capture.
-func cacheTensor(t *tensor.Tensor, histLen, dim int) *tensor.Tensor {
+// cacheInput captures a layer's cache leaf: over the concrete tensor
+// when the client holds it, otherwise (remote-resident mode) over its
+// descriptor alone — the runtime binds the leaf to a remote key, so
+// capture needs the shape and nothing to back it.
+func cacheInput(b *lazy.Builder, name string, t *tensor.Tensor, histLen, dim int) lazy.Value {
 	if t != nil {
-		return t
+		return b.StatefulInput(name, t)
 	}
 	if histLen <= 0 {
 		histLen = 1
 	}
-	return tensor.New(tensor.F32, histLen, dim)
+	return b.StatefulInputMeta(name, tensor.Meta{DType: tensor.F32, Shape: tensor.Shape{histLen, dim}})
 }
 
 // LayerStepOutputs indexes a per-layer subgraph (the unit a
@@ -304,10 +302,8 @@ func (m *GPT) BuildLayerStep(layer int, x *tensor.Tensor, cache *nn.KVCache, his
 			if cache != nil {
 				ckData, cvData = cache.K, cache.V
 			}
-			ck := cacheTensor(ckData, histLen, m.Cfg.Dim)
-			cv := cacheTensor(cvData, histLen, m.Cfg.Dim)
-			cacheK = b.StatefulInput(cacheName(layer, "k"), ck)
-			cacheV = b.StatefulInput(cacheName(layer, "v"), cv)
+			cacheK = cacheInput(b, cacheName(layer, "k"), ckData, histLen, m.Cfg.Dim)
+			cacheV = cacheInput(b, cacheName(layer, "v"), cvData, histLen, m.Cfg.Dim)
 		}
 		o, k, v := m.Blocks[layer].ForwardKV(b, fmt.Sprintf("blocks.%d", layer), xin, cacheK, cacheV)
 		b.MarkOutput(o)
@@ -377,8 +373,8 @@ type SegmentSpec struct {
 	HistLen int
 	// Caches optionally supplies concrete per-layer cache data (indexed by
 	// absolute layer) for the HistLen > 0 stateful inputs. When nil the
-	// inputs get zero placeholders of the right shape and the runtime must
-	// rebind them to remote-resident keys; when set, the graph is directly
+	// inputs are descriptors only (lazy.StatefulInputMeta) and the runtime
+	// must bind them to remote-resident keys; when set, the graph is directly
 	// executable (the prefix-cache extend path binds gathered pages here).
 	Caches []*nn.KVCache
 }
@@ -434,10 +430,8 @@ func (m *GPT) BuildSegment(spec SegmentSpec) (*lazy.Builder, SegmentOutputs) {
 				if spec.Caches != nil && spec.Caches[i] != nil {
 					ckData, cvData = spec.Caches[i].K, spec.Caches[i].V
 				}
-				cacheK = b.StatefulInput(cacheName(i, "k"),
-					cacheTensor(ckData, spec.HistLen, m.Cfg.Dim))
-				cacheV = b.StatefulInput(cacheName(i, "v"),
-					cacheTensor(cvData, spec.HistLen, m.Cfg.Dim))
+				cacheK = cacheInput(b, cacheName(i, "k"), ckData, spec.HistLen, m.Cfg.Dim)
+				cacheV = cacheInput(b, cacheName(i, "v"), cvData, spec.HistLen, m.Cfg.Dim)
 			}
 			var k, v lazy.Value
 			x, k, v = m.Blocks[i].ForwardKV(b, fmt.Sprintf("blocks.%d", i), x, cacheK, cacheV)

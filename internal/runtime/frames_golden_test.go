@@ -140,21 +140,21 @@ func TestFrameGolden(t *testing.T) {
 		{"delta_kv", runtime.ModeDeltaKV},
 		{"aware", runtime.ModeSemAware},
 	} {
-		r := &runtime.LLMRunner{Model: newModel(models.TinyGPT), EP: wrap(startNode(t, false))}
+		r := &runtime.LLMRunner{Model: newModel(models.TinyGPT), EP: wrap(startNode(t, wirePlan))}
 		session(r, tc.mode, "g/")
 		check(tc.row)
 	}
 
 	m := newModel(models.TinyGPT)
 	sp := newSplit(t, kvcache.SplitConfig{
-		Model: m, Prefill: wrap(startNode(t, false)), Decode: wrap(startNode(t, false)), Cache: newCache(t, m),
+		Model: m, Prefill: wrap(startNode(t, wirePlan)), Decode: wrap(startNode(t, wirePlan)), Cache: newCache(t, m),
 	})
 	session(sp.Runner(), runtime.ModeSemAware, "g0/")
 	check("split_miss")
 	session(sp.Runner(), runtime.ModeSemAware, "g1/")
 	check("split_hit")
 
-	pm := newPool(t, newModel(models.TinyGPT), wrap(startNode(t, false)), wrap(startNode(t, false)))
+	pm := newPool(t, newModel(models.TinyGPT), wrap(startNode(t, wirePlan)), wrap(startNode(t, wirePlan)))
 	if got := len(pm.Plan().Members()); got != 2 {
 		t.Fatalf("pool plan spans %d members, want 2", got)
 	}

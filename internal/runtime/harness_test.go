@@ -26,21 +26,39 @@ type node struct {
 	ctr *transport.Counters
 }
 
-// startNode serves a fresh backend over a pipe; featAll negotiates the
-// full wire tier (dedup, delta, compression), otherwise the connection
-// speaks the legacy frames.
-func startNode(t *testing.T, featAll bool) *node {
+// wireTier is what a node's connection may speak.
+type wireTier int
+
+const (
+	// wireLegacy: the server grants nothing, so every frame is a legacy
+	// frame whatever a client asks for.
+	wireLegacy wireTier = iota
+	// wirePlan: nobody negotiates; a semantics-aware session asks for
+	// resident plans on its own, the blind modes for nothing.
+	wirePlan
+	// wireFeatAll: the caller negotiates the full tier up front (dedup,
+	// delta, compression, plans).
+	wireFeatAll
+)
+
+var wireNames = [...]string{"legacy", "plan", "feat_all"}
+
+// startNode serves a fresh backend over a pipe at the given wire tier.
+func startNode(t *testing.T, wire wireTier) *node {
 	t.Helper()
 	ctr := &transport.Counters{}
 	cconn, sconn := transport.Pipe(ctr, nil)
 	srv := backend.NewServer(device.A100)
+	if wire == wireLegacy {
+		srv.SetWireFeatures(0)
+	}
 	go func() { _ = srv.Serve(sconn) }()
 	t.Cleanup(func() {
 		cconn.Close()
 		sconn.Close()
 	})
 	n := &node{srv: srv, cli: transport.NewClient(cconn), ctr: ctr}
-	if featAll {
+	if wire == wireFeatAll {
 		if _, err := n.cli.Negotiate(context.Background(), transport.FeatAll); err != nil {
 			t.Fatal(err)
 		}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"genie/internal/kvcache"
 	"genie/internal/models"
 	"genie/internal/runtime"
+	"genie/internal/transport"
 )
 
 // The parity matrix is the generated cross-product of everything a
@@ -51,19 +53,16 @@ type row struct {
 	place       placement
 	res         residency
 	mode        runtime.Mode
-	featAll     bool
+	wire        wireTier
 	interleaved bool
 }
 
 func (r row) String() string {
-	wire, driver := "legacy", "generate"
-	if r.featAll {
-		wire = "feat_all"
-	}
+	driver := "generate"
 	if r.interleaved {
 		driver = "interleaved"
 	}
-	return fmt.Sprintf("%s/%s/%s/%s/%s", placementNames[r.place], residencyNames[r.res], r.mode, wire, driver)
+	return fmt.Sprintf("%s/%s/%s/%s/%s", placementNames[r.place], residencyNames[r.res], r.mode, wireNames[r.wire], driver)
 }
 
 // valid is the one statement of which policy triples exist. Placement
@@ -74,7 +73,7 @@ func (r row) valid() bool {
 	switch r.place {
 	case inProcess:
 		// Uncached in-process execution is the oracle itself.
-		return r.mode == runtime.ModeLocal && radix && !r.featAll
+		return r.mode == runtime.ModeLocal && radix && r.wire == wireLegacy
 	case oneEndpoint:
 		return (r.mode == runtime.ModeNaive && r.res == resNone) ||
 			(r.mode == runtime.ModeSemAware && r.res != resNone)
@@ -107,29 +106,67 @@ type rig struct {
 	nodes  []*node
 	cache  *kvcache.Manager
 	split  *kvcache.Split
+	tally  *tally
+}
+
+// tally sums what the row's backends answered its execs with: modeled
+// device time and the sizes of what they kept. A patched resident graph
+// that carried a different annotation than the full graph would have
+// moves one of them.
+type tally struct {
+	mu              sync.Mutex
+	gpuNs, keptSize int64
+}
+
+func (t *tally) String() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return fmt.Sprintf("gpu %d ns, kept %d B", t.gpuNs, t.keptSize)
+}
+
+// tallyEP is a node's client with every ExecOK it returns tallied.
+type tallyEP struct {
+	*transport.Client
+	t *tally
+}
+
+func (e tallyEP) Exec(x *transport.Exec) (*transport.ExecOK, error) { return e.ExecCtx(nil, x) }
+
+func (e tallyEP) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
+	ok, err := e.Client.ExecCtx(ctx, x)
+	if err == nil {
+		e.t.mu.Lock()
+		e.t.gpuNs += ok.GPUTimeNs
+		for _, n := range ok.Kept {
+			e.t.keptSize += n
+		}
+		e.t.mu.Unlock()
+	}
+	return ok, err
 }
 
 // build assembles the row's runner the way its owner package does.
 func (r row) build(t *testing.T) rig {
 	t.Helper()
 	m := newModel(matrixCfg)
-	var g rig
+	g := rig{tally: &tally{}}
 	if r.res >= radixCold {
 		g.cache = newCache(t, m)
 	}
-	add := func() *node {
-		n := startNode(t, r.featAll)
+	add := func() tallyEP {
+		n := startNode(t, r.wire)
 		g.nodes = append(g.nodes, n)
-		return n
+		return tallyEP{n.cli, g.tally}
 	}
 	switch r.place {
 	case inProcess:
 		g.runner = g.cache.Runner()
 	case oneEndpoint, perModule:
-		n := add()
-		g.runner = &runtime.LLMRunner{Model: m, EP: n.cli, Counters: n.ctr}
+		ep := add()
+		ctr := ep.Conn().Counters()
+		g.runner = &runtime.LLMRunner{Model: m, EP: ep, Counters: ctr}
 		if g.cache != nil {
-			g.runner = g.cache.RunnerOn(n.cli, n.ctr)
+			g.runner = g.cache.RunnerOn(ep, ctr)
 		}
 		if r.mode != runtime.ModeNaive {
 			if _, err := g.runner.InstallModelWeights(); err != nil {
@@ -139,14 +176,14 @@ func (r row) build(t *testing.T) rig {
 	case split:
 		pre, dec := add(), add()
 		g.split = newSplit(t, kvcache.SplitConfig{
-			Model: m, Prefill: pre.cli, Decode: dec.cli, DecodeCounters: dec.ctr, Cache: g.cache,
+			Model: m, Prefill: pre, Decode: dec, DecodeCounters: dec.Conn().Counters(), Cache: g.cache,
 		})
 		g.runner = g.split.Runner()
 	case splitHedged:
 		a, b, dec := add(), add(), add()
 		g.split = newSplit(t, kvcache.SplitConfig{
-			Model: m, Decode: dec.cli, DecodeCounters: dec.ctr, Cache: g.cache,
-			Lanes:        []kvcache.PrefillLane{{Name: "a", EP: a.cli}, {Name: "b", EP: b.cli}},
+			Model: m, Decode: dec, DecodeCounters: dec.Conn().Counters(), Cache: g.cache,
+			Lanes:        []kvcache.PrefillLane{{Name: "a", EP: a}, {Name: "b", EP: b}},
 			HedgePrefill: true,
 			HedgeFloor:   time.Nanosecond, // every prefill races both lanes
 		})
@@ -154,7 +191,7 @@ func (r row) build(t *testing.T) rig {
 	default:
 		members := make([]runtime.Endpoint, int(r.place-pool1)+1)
 		for i := range members {
-			members[i] = add().cli
+			members[i] = add()
 		}
 		pm := newPool(t, m, members...)
 		if got := len(pm.Plan().Members()); got != len(members) {
@@ -210,9 +247,9 @@ func TestSessionParityMatrix(t *testing.T) {
 	for place := inProcess; place <= pool3; place++ {
 		for res := resNone; res <= radixPartial; res++ {
 			for _, mode := range []runtime.Mode{runtime.ModeLocal, runtime.ModeNaive, runtime.ModeDeltaKV, runtime.ModeSemAware} {
-				for _, featAll := range []bool{false, true} {
+				for wire := wireLegacy; wire <= wireFeatAll; wire++ {
 					for _, interleaved := range []bool{false, true} {
-						if r := (row{place, res, mode, featAll, interleaved}); r.valid() {
+						if r := (row{place, res, mode, wire, interleaved}); r.valid() {
 							rows = append(rows, r)
 						}
 					}
@@ -221,12 +258,27 @@ func TestSessionParityMatrix(t *testing.T) {
 		}
 	}
 
+	// A row's legacy twin runs first (the wire loop above is inside the
+	// others); every other tier must have been answered the same sums —
+	// except under a hedge, where the losing lane's reply is a race.
+	legacyTally := map[row]string{}
 	for _, r := range rows {
 		t.Run(r.String(), func(t *testing.T) {
 			g := r.build(t)
 			runner, nodes := g.runner, g.nodes
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
+			defer func() {
+				twin := r
+				twin.wire = wireLegacy
+				switch {
+				case t.Failed() || r.place == splitHedged:
+				case r.wire == wireLegacy:
+					legacyTally[twin] = g.tally.String()
+				case legacyTally[twin] != g.tally.String():
+					t.Errorf("backends answered %s; on legacy frames %q", g.tally, legacyTally[twin])
+				}
+			}()
 
 			// Radix state: warm has seen prompt A in full, partial a prompt
 			// that shares A's first six tokens (the hit splits a radix node).
@@ -332,9 +384,9 @@ func TestSessionParityMatrix(t *testing.T) {
 // package built it.
 func TestUnsupportedModeRejectedAtCreation(t *testing.T) {
 	for _, r := range []row{
-		{place: split, res: resHandles, mode: runtime.ModeSemAware},
-		{place: pool2, res: resHandles, mode: runtime.ModeSemAware},
-		{place: oneEndpoint, res: radixCold, mode: runtime.ModeSemAware},
+		{place: split, res: resHandles, mode: runtime.ModeSemAware, wire: wirePlan},
+		{place: pool2, res: resHandles, mode: runtime.ModeSemAware, wire: wirePlan},
+		{place: oneEndpoint, res: radixCold, mode: runtime.ModeSemAware, wire: wirePlan},
 	} {
 		runner := r.build(t).runner
 		for _, mode := range []runtime.Mode{runtime.ModeNaive, runtime.ModeDeltaKV} {

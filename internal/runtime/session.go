@@ -392,8 +392,11 @@ func (s *Session) capture(h hop, tokens []int64, pos int, x *tensor.Tensor, pref
 // outputs stay remote under the session's keys, which come home.
 func (s *Session) buildHop(h hop, rt Route, wantRows bool, tokens []int64, pos int, x *tensor.Tensor, prefix []*nn.KVCache) (*transport.Exec, hopOut) {
 	b, out := s.capture(h, tokens, pos, x, prefix)
-	ex := &transport.Exec{Graph: b.Graph()}
 	aware := s.mode == ModeSemAware
+	// A semantics-aware loop knows it will capture this structure again;
+	// the blind modes ship every graph whole — Table 2's ordering is the
+	// experiment.
+	ex := &transport.Exec{Graph: b.Graph(), Repeat: aware}
 	for _, n := range ex.Graph.Nodes() {
 		switch {
 		case n.Op == "param":

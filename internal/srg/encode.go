@@ -46,7 +46,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // Encode writes the graph in the binary wire format.
-func (g *Graph) Encode(w io.Writer) error {
+func (g *Graph) Encode(w io.Writer) error { return g.encode(w, g.Name) }
+
+// encode writes the wire format under the given name; the graph is only
+// read, so concurrent encodes and fingerprints of one graph are safe.
+func (g *Graph) encode(w io.Writer, name string) error {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -70,7 +74,7 @@ func (g *Graph) Encode(w io.Writer) error {
 		_, err := bw.Write(b[:])
 		return err
 	}
-	if err := writeStr16(g.Name); err != nil {
+	if err := writeStr16(name); err != nil {
 		return err
 	}
 	if err := writeU32(uint32(len(g.nodes))); err != nil {
@@ -119,11 +123,7 @@ func (g *Graph) Encode(w io.Writer) error {
 				return err
 			}
 		}
-		keys := make([]string, 0, len(n.Attrs))
-		for k := range n.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := attrKeys(n.Attrs, nil)
 		var ab [2]byte
 		binary.LittleEndian.PutUint16(ab[:], uint16(len(keys)))
 		if _, err := bw.Write(ab[:]); err != nil {
@@ -386,10 +386,7 @@ func Decode(r io.Reader) (*Graph, error) {
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	// Name is excluded: the fingerprint identifies computation, not label.
-	saved := g.Name
-	g.Name = ""
-	_ = g.Encode(h)
-	g.Name = saved
+	_ = g.encode(h, "")
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genie/internal/obs"
@@ -24,6 +25,14 @@ type Client struct {
 	hashes    map[*tensor.Tensor][HashSize]byte
 	prev      map[string]prevVersion
 	prevBytes int64
+
+	// Resident-plan state (plan.go). helloed is set once the connection
+	// has been through a MsgHello, whoever asked; plans mirrors the
+	// server's plan slots and planNext is the next slot to take over.
+	// plans and planNext are guarded by the conn's round-trip lock.
+	helloed  atomic.Bool
+	plans    []planSlot
+	planNext int
 }
 
 // NewClient wraps a connection.
@@ -149,9 +158,23 @@ func (c *Client) Exec(x *Exec) (*ExecOK, error) {
 // (hash refs on dedup connections, plain inline otherwise) on a copy —
 // the caller's Exec is never mutated, so the one-shot retry after a
 // server-side cache loss re-sends the original tensors in full.
+//
+// An exec marked Repeat travels through a resident plan slot when the
+// connection grants FeatPlan (plan.go), asking for the feature first if
+// nobody has negotiated this connection.
 func (c *Client) ExecCtx(ctx context.Context, x *Exec) (*ExecOK, error) {
+	if x.Repeat {
+		if err := c.helloOnce(ctx); err != nil {
+			return nil, err
+		}
+	}
 	wire, pending := c.rewriteBinds(x, c.conn.Features())
 	ok, err := c.execOnce(ctx, wire)
+	if err != nil && isUnknownPlan(err) {
+		// The server holds nothing in the slot we patched; the failed call
+		// forgot it on our side too, so this one installs.
+		ok, err = c.execOnce(ctx, wire)
+	}
 	if err != nil && isUnknownContent(err) && wire != x {
 		// The server forgot bytes we hash-referenced (crash or cache
 		// reset). Flush, rewrite again — now everything goes inline with
@@ -167,15 +190,38 @@ func (c *Client) ExecCtx(ctx context.Context, x *Exec) (*ExecOK, error) {
 	return ok, nil
 }
 
+// execOnce is one exec round trip: a full MsgExec frame, or — for a
+// repeatable exec on a connection that granted FeatPlan — a MsgExecPlan
+// frame through the graph's plan slot (plan.go). Encode, mirror update,
+// send and receive are one critical section under the conn's round-trip
+// lock: frames reach the server in mirror order, so the mirror is what
+// the server's slot holds. The server patches before it executes, so the
+// mirror follows the frame whenever the reply is an ExecOK; on any error
+// the slot is forgotten and the next frame for it installs.
 func (c *Client) execOnce(ctx context.Context, x *Exec) (*ExecOK, error) {
-	payload, err := EncodeExecPooled(x)
+	c.conn.callMu.Lock()
+	defer c.conn.callMu.Unlock()
+	kind, slot := MsgExec, -1
+	var payload []byte
+	var err error
+	if x.Repeat && c.conn.Features()&FeatPlan != 0 {
+		kind, slot = MsgExecPlan, c.planSlotFor(x.Graph)
+		payload, err = encodeExecPlan(uint8(slot), c.plans[slot].g, x)
+	} else {
+		payload, err = EncodeExecPooled(x)
+	}
 	if err != nil {
 		return nil, err
 	}
+	// Pooled scratch: the round trip is synchronous, so the payload can
+	// go back to the pool as soon as the call returns.
 	defer ReleaseEncoded(payload)
+	if slot >= 0 {
+		c.plans[slot].g = nil
+	}
 	_, span := obs.StartSpan(ctx, "transport.exec")
 	span.SetAttrInt("send_bytes", int64(len(payload)))
-	t, p, err := c.conn.CallEnvCtx(ctx, MsgExec, Envelope{Trace: span.TraceID(), Span: span.SpanID()}, payload)
+	t, p, err := c.conn.roundTrip(ctx, kind, Envelope{Trace: span.TraceID(), Span: span.SpanID()}, payload)
 	span.SetAttrInt("recv_bytes", int64(len(p)))
 	span.End()
 	if err != nil {
@@ -184,17 +230,24 @@ func (c *Client) execOnce(ctx context.Context, x *Exec) (*ExecOK, error) {
 	if t != MsgExecOK {
 		return nil, fmt.Errorf("transport: exec got %d", t)
 	}
-	return DecodeExecOK(p)
+	ok, err := DecodeExecOK(p)
+	if err == nil && slot >= 0 {
+		c.plans[slot].g = x.Graph
+	}
+	return ok, err
 }
 
 // ExecVerified ships a subgraph and verifies the server's execution
 // attestation: the response must echo the fingerprint of the graph that
 // was sent. A mismatch means the server executed something else
 // (tampering, misrouting, or a buggy proxy) and is returned as an error
-// with the results discarded.
+// with the results discarded. The graph always travels whole, never as a
+// resident plan: the graph on the wire is what the server attests.
 func (c *Client) ExecVerified(x *Exec) (*ExecOK, error) {
 	want := x.Graph.Fingerprint()
-	ok, err := c.Exec(x)
+	whole := *x
+	whole.Repeat = false
+	ok, err := c.Exec(&whole)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,8 @@ import (
 // Client-side wire feature machinery (DESIGN.md §11): negotiation,
 // the sent-hash set behind upload dedup, previous-version tracking for
 // delta uploads, and the exec-binding rewrite that turns repeated
-// inline weights into 32-byte hash refs.
+// inline weights into 32-byte hash refs. The resident-plan mirror, the
+// fourth feature, is plan.go.
 
 // prevVersion is the last payload uploaded under a key, kept so the
 // next same-shape upload can travel as a delta.
@@ -34,7 +35,16 @@ const (
 // it on a legacy server fails with an unknown-message error and leaves
 // the conn unusable (the server closes it); negotiate on fresh conns.
 func (c *Client) Negotiate(ctx context.Context, want uint32) (uint32, error) {
-	t, p, err := c.conn.CallCtx(ctx, MsgHello, EncodeHello(want))
+	c.conn.callMu.Lock()
+	defer c.conn.callMu.Unlock()
+	return c.negotiateLocked(ctx, want)
+}
+
+// negotiateLocked is Negotiate under the conn's round-trip lock, which
+// the caller holds. Any completed Hello, whatever it granted, settles
+// the connection's features: the client never asks again on its own.
+func (c *Client) negotiateLocked(ctx context.Context, want uint32) (uint32, error) {
+	t, p, err := c.conn.roundTrip(ctx, MsgHello, Envelope{}, EncodeHello(want))
 	if err != nil {
 		return 0, err
 	}
@@ -47,6 +57,8 @@ func (c *Client) Negotiate(ctx context.Context, want uint32) (uint32, error) {
 	}
 	c.conn.SetFeatures(granted)
 	c.flushDedup()
+	c.plans, c.planNext = nil, 0
+	c.helloed.Store(true)
 	return granted, nil
 }
 

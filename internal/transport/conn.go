@@ -78,8 +78,16 @@ func (s *Shaper) delayRecv(n int) {
 
 // Conn is a counted, optionally shaped, framed connection. It serializes
 // concurrent calls (one outstanding request per conn, like a synchronous
-// RPC channel).
+// RPC channel): Call and its variants hold callMu from the request's
+// first byte to the reply's last, so every caller reads its own reply.
+// Bare Send/Recv are the server side's (and test harnesses') halves of
+// that exchange and take only the frame-write lock.
 type Conn struct {
+	// callMu is the round-trip lock. The client's resident-plan mirror
+	// (plan.go) also updates under it: what the mirror says was
+	// sent is what was sent, in that order.
+	callMu sync.Mutex
+	// mu guards frame writes.
 	mu   sync.Mutex
 	raw  net.Conn
 	br   *bufio.Reader
@@ -216,6 +224,55 @@ func (c *Conn) Call(t MsgType, payload []byte) (MsgType, []byte, error) {
 // would desynchronize the next call. RemoteError responses (MsgErr) are
 // application-level and leave the conn healthy.
 func (c *Conn) CallEnv(t MsgType, env Envelope, payload []byte) (MsgType, []byte, error) {
+	return c.CallEnvCtx(nil, t, env, payload)
+}
+
+// CallCtx is Call with the context's deadline and cancellation applied
+// to the round trip's socket I/O.
+func (c *Conn) CallCtx(ctx context.Context, t MsgType, payload []byte) (MsgType, []byte, error) {
+	return c.CallEnvCtx(ctx, t, Envelope{}, payload)
+}
+
+// CallEnvCtx is CallEnv with per-call deadlines: the context's deadline
+// is installed as the socket's read+write deadline for the duration of
+// the round trip, and cancellation mid-call forces the blocked I/O to
+// fail immediately. This is what keeps a hung or partitioned peer from
+// wedging the caller forever — the call returns once ctx expires, the
+// conn is poisoned (a late response can't be re-associated), the round-
+// trip lock is released, and the caller can redial or fail over.
+func (c *Conn) CallEnvCtx(ctx context.Context, t MsgType, env Envelope, payload []byte) (MsgType, []byte, error) {
+	c.callMu.Lock()
+	defer c.callMu.Unlock()
+	return c.roundTrip(ctx, t, env, payload)
+}
+
+// roundTrip is one request/reply exchange; the caller holds callMu. The
+// deadline is armed under the lock, so it only ever bounds this call's
+// own I/O.
+func (c *Conn) roundTrip(ctx context.Context, t MsgType, env Envelope, payload []byte) (MsgType, []byte, error) {
+	release, err := c.armDeadline(ctx)
+	if err != nil {
+		return 0, nil, fmt.Errorf("transport: call: %w", err)
+	}
+	rt, rp, err := c.exchange(t, env, payload)
+	release()
+	if err != nil && ctx != nil && !IsRemote(err) {
+		if cerr := ctx.Err(); cerr != nil {
+			// The I/O error was induced by expiry/cancel; surface the cause.
+			return 0, nil, fmt.Errorf("transport: call: %w", cerr)
+		}
+		// The armed I/O deadline *is* the ctx deadline, so a raw timeout
+		// means the ctx expired even if its own timer hasn't fired yet.
+		if _, has := ctx.Deadline(); has && errors.Is(err, os.ErrDeadlineExceeded) {
+			return 0, nil, fmt.Errorf("transport: call: %w", context.DeadlineExceeded)
+		}
+	}
+	return rt, rp, err
+}
+
+// exchange sends one frame and reads the reply, poisoning the conn when
+// either half fails.
+func (c *Conn) exchange(t MsgType, env Envelope, payload []byte) (MsgType, []byte, error) {
 	c.ctr.Calls.Add(1)
 	c.tel.onCall(t)
 	if err := c.SendEnv(t, env, payload); err != nil {
@@ -231,40 +288,6 @@ func (c *Conn) CallEnv(t MsgType, env Envelope, payload []byte) (MsgType, []byte
 		return rt, nil, DecodeErr(rp)
 	}
 	return rt, rp, nil
-}
-
-// CallCtx is Call with the context's deadline and cancellation applied
-// to the round trip's socket I/O.
-func (c *Conn) CallCtx(ctx context.Context, t MsgType, payload []byte) (MsgType, []byte, error) {
-	return c.CallEnvCtx(ctx, t, Envelope{}, payload)
-}
-
-// CallEnvCtx is CallEnv with per-call deadlines: the context's deadline
-// is installed as the socket's read+write deadline for the duration of
-// the round trip, and cancellation mid-call forces the blocked I/O to
-// fail immediately. This is what keeps a hung or partitioned peer from
-// wedging the caller forever — the call returns once ctx expires, the
-// conn is poisoned (a late response can't be re-associated), and the
-// caller can redial or fail over.
-func (c *Conn) CallEnvCtx(ctx context.Context, t MsgType, env Envelope, payload []byte) (MsgType, []byte, error) {
-	release, err := c.armDeadline(ctx)
-	if err != nil {
-		return 0, nil, fmt.Errorf("transport: call: %w", err)
-	}
-	rt, rp, err := c.CallEnv(t, env, payload)
-	release()
-	if err != nil && ctx != nil && !IsRemote(err) {
-		if cerr := ctx.Err(); cerr != nil {
-			// The I/O error was induced by expiry/cancel; surface the cause.
-			return 0, nil, fmt.Errorf("transport: call: %w", cerr)
-		}
-		// The armed I/O deadline *is* the ctx deadline, so a raw timeout
-		// means the ctx expired even if its own timer hasn't fired yet.
-		if _, has := ctx.Deadline(); has && errors.Is(err, os.ErrDeadlineExceeded) {
-			return 0, nil, fmt.Errorf("transport: call: %w", context.DeadlineExceeded)
-		}
-	}
-	return rt, rp, err
 }
 
 // armDeadline applies ctx's deadline to the raw socket and spawns a

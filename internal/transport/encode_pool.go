@@ -59,7 +59,12 @@ func EncodeUploadPooled(u *Upload) []byte {
 
 // EncodeExecPooled is EncodeExec into pooled scratch. Pass the payload
 // back via ReleaseEncoded once the frame has been written.
-func EncodeExecPooled(x *Exec) ([]byte, error) {
+func EncodeExecPooled(x *Exec) ([]byte, error) { return encodeGraphFrame(nil, x) }
+
+// encodeGraphFrame encodes hdr | u32 len | graph | tail into pooled
+// scratch: a MsgExec payload when hdr is empty, a plan frame that
+// installs the graph when hdr is a plan header.
+func encodeGraphFrame(hdr []byte, x *Exec) ([]byte, error) {
 	// The graph serializes through its own writer; borrow scratch for it
 	// too, seeded at its last-seen class so steady-state encodes of the
 	// same step graph never grow it.
@@ -68,54 +73,10 @@ func EncodeExecPooled(x *Exec) ([]byte, error) {
 	if err := x.Graph.Encode(gw); err != nil {
 		return nil, err
 	}
-	n := 4 + len(gw.b) + 4
-	for i := range x.Binds {
-		bd := &x.Binds[i]
-		n += strWireSize(bd.Ref) + 1
-		switch {
-		case bd.Inline != nil:
-			n += tensorWireSize(bd.Inline)
-		case bd.Hash != [HashSize]byte{}:
-			n += HashSize
-		default:
-			n += strWireSize(bd.Key) + 4
-		}
-	}
-	n += 4
-	for _, k := range x.Keep {
-		n += 4 + strWireSize(k)
-	}
-	n += 4 + 4*len(x.Want)
-	e := buf{b: encPool.Get(n)[:0]}
+	e := buf{b: encPool.Get(len(hdr) + 4 + len(gw.b) + execTailSize(x))[:0]}
+	e.b = append(e.b, hdr...)
 	e.u32(uint32(len(gw.b)))
 	e.b = append(e.b, gw.b...)
-	e.u32(uint32(len(x.Binds)))
-	for _, bd := range x.Binds {
-		e.str(bd.Ref)
-		switch {
-		case bd.Inline != nil && bd.Cache:
-			e.u8(3)
-			e.tensor(bd.Inline)
-		case bd.Inline != nil:
-			e.u8(1)
-			e.tensor(bd.Inline)
-		case bd.Hash != [HashSize]byte{}:
-			e.u8(2)
-			e.b = append(e.b, bd.Hash[:]...)
-		default:
-			e.u8(0)
-			e.str(bd.Key)
-			e.u32(bd.Epoch)
-		}
-	}
-	e.u32(uint32(len(x.Keep)))
-	for _, id := range keepOrder(x.Keep) {
-		e.u32(uint32(id))
-		e.str(x.Keep[id])
-	}
-	e.u32(uint32(len(x.Want)))
-	for _, id := range x.Want {
-		e.u32(uint32(id))
-	}
+	e.execTail(x)
 	return e.b, nil
 }

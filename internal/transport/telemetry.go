@@ -4,9 +4,9 @@ import (
 	"genie/internal/obs"
 )
 
-// maxKind bounds the per-kind telemetry tables (MsgStatsOK is the
+// maxKind bounds the per-kind telemetry tables (MsgExecPlan is the
 // highest assigned type).
-const maxKind = int(MsgStatsOK) + 1
+const maxKind = int(MsgExecPlan) + 1
 
 // Telemetry accounts wire traffic per RPC kind into an obs.Registry:
 // exact frame bytes (header + envelope + payload) sent and received,

@@ -6,6 +6,14 @@
 // buffer pool (the DPDK-managed-memory analogue) and a link shaper that
 // emulates the paper's 25 Gbps testbed at laptop scale. Per-conn traffic
 // counters feed the evaluation's network-volume metrics.
+//
+// A Conn carries one round trip at a time. On top of the legacy frames
+// sit four negotiated features (wirefeat.go; DESIGN.md §11): payload
+// compression, content-hash dedup and same-key deltas for tensors, and
+// resident step plans for graphs (plan.go) — a decode loop's SRG crosses
+// a connection once and later steps send only the node fields that
+// changed. All are dark until a MsgHello grants them; a connection that
+// never says Hello speaks the legacy protocol to the byte.
 package transport
 
 import (
@@ -65,6 +73,11 @@ const (
 	// MsgUploadDelta stores a new version of an existing key as an
 	// XOR/run-length delta against the previous bytes.
 	MsgUploadDelta
+	// MsgExecPlan is MsgExec against a graph resident in one of the
+	// connection's plan slots (FeatPlan, plan.go): the payload installs a
+	// full graph in the slot or patches the one there. The reply is
+	// MsgExecOK.
+	MsgExecPlan
 )
 
 // maxFrame bounds a frame payload (1 GiB) against malformed peers.
@@ -179,7 +192,7 @@ func ReadFrameEnv(r io.Reader) (MsgType, Envelope, []byte, error) {
 }
 
 // validType reports whether t is a message this protocol defines.
-func validType(t MsgType) bool { return t >= MsgPing && t <= MsgUploadDelta }
+func validType(t MsgType) bool { return t >= MsgPing && t <= MsgExecPlan }
 
 // KindName returns the stable lowercase label for a message type, used
 // for per-kind telemetry series.
@@ -223,6 +236,8 @@ func KindName(t MsgType) string {
 		return "upload_ref"
 	case MsgUploadDelta:
 		return "upload_delta"
+	case MsgExecPlan:
+		return "exec_plan"
 	}
 	return "unknown"
 }
@@ -461,21 +476,32 @@ type Exec struct {
 	Keep map[srg.NodeID]string
 	// Want lists node IDs whose values return inline in ExecOK.
 	Want []srg.NodeID
+	// Repeat hints that the caller issues this graph call after call with
+	// the same structure (a decode loop), so a connection may keep it
+	// resident and send only the node fields that changed (plan.go). It
+	// is never encoded; a server sees it set on execs that arrived as
+	// plan frames, which carry no attestation (ExecOK.GraphFP is empty:
+	// the graph as a whole was not on the wire, and ExecVerified, the
+	// attestation's reader, always ships it whole).
+	Repeat bool
 }
 
-// EncodeExec serializes an Exec payload.
+// EncodeExec serializes an Exec payload: u32 len | graph | tail.
 func EncodeExec(x *Exec) ([]byte, error) {
-	var e buf
-	var gb buf
-	// Graph encodes via its own writer; capture to bytes.
 	w := &sliceWriter{}
 	if err := x.Graph.Encode(w); err != nil {
 		return nil, err
 	}
-	gb.b = w.b
-	e.u32(uint32(len(gb.b)))
-	e.b = append(e.b, gb.b...)
+	var e buf
+	e.u32(uint32(len(w.b)))
+	e.b = append(e.b, w.b...)
+	e.execTail(x)
+	return e.b, nil
+}
 
+// execTail writes what follows the graph in every exec frame, full or
+// plan: the bindings, the keep map and the want list.
+func (e *buf) execTail(x *Exec) {
 	e.u32(uint32(len(x.Binds)))
 	for _, bd := range x.Binds {
 		e.str(bd.Ref)
@@ -504,7 +530,28 @@ func EncodeExec(x *Exec) ([]byte, error) {
 	for _, id := range x.Want {
 		e.u32(uint32(id))
 	}
-	return e.b, nil
+}
+
+// execTailSize is the encoded size of execTail's output.
+func execTailSize(x *Exec) int {
+	n := 4
+	for i := range x.Binds {
+		bd := &x.Binds[i]
+		n += strWireSize(bd.Ref) + 1
+		switch {
+		case bd.Inline != nil:
+			n += tensorWireSize(bd.Inline)
+		case bd.Hash != [HashSize]byte{}:
+			n += HashSize
+		default:
+			n += strWireSize(bd.Key) + 4
+		}
+	}
+	n += 4
+	for _, k := range x.Keep {
+		n += 4 + strWireSize(k)
+	}
+	return n + 4 + 4*len(x.Want)
 }
 
 // keepOrder returns a Keep map's IDs ascending — deterministic encode
@@ -536,8 +583,7 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // DecodeExec parses an Exec payload.
 func DecodeExec(b []byte) (*Exec, error) {
 	r := rdr{b: b}
-	gLen := int(r.u32())
-	gBytes := r.take(gLen)
+	gBytes := r.take(int(r.u32()))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -546,9 +592,15 @@ func DecodeExec(b []byte) (*Exec, error) {
 		return nil, err
 	}
 	x := &Exec{Graph: g}
+	r.execTail(x)
+	return x, r.err
+}
+
+// execTail reads what execTail wrote into x.
+func (r *rdr) execTail(x *Exec) {
 	nBind := int(r.u32())
 	if r.err == nil && nBind > 1<<20 {
-		return nil, frameErrorf("transport: %d bindings", nBind)
+		r.fail(fmt.Sprintf("%d bindings", nBind))
 	}
 	for i := 0; i < nBind && r.err == nil; i++ {
 		bd := Binding{Ref: r.str()}
@@ -570,9 +622,9 @@ func DecodeExec(b []byte) (*Exec, error) {
 	}
 	nKeep := int(r.u32())
 	if r.err == nil && nKeep > 1<<20 {
-		return nil, frameErrorf("transport: %d keeps", nKeep)
+		r.fail(fmt.Sprintf("%d keeps", nKeep))
 	}
-	if nKeep > 0 {
+	if r.err == nil && nKeep > 0 {
 		x.Keep = make(map[srg.NodeID]string, nKeep)
 	}
 	for i := 0; i < nKeep && r.err == nil; i++ {
@@ -581,12 +633,11 @@ func DecodeExec(b []byte) (*Exec, error) {
 	}
 	nWant := int(r.u32())
 	if r.err == nil && nWant > 1<<20 {
-		return nil, frameErrorf("transport: %d wants", nWant)
+		r.fail(fmt.Sprintf("%d wants", nWant))
 	}
 	for i := 0; i < nWant && r.err == nil; i++ {
 		x.Want = append(x.Want, srg.NodeID(r.u32()))
 	}
-	return x, r.err
 }
 
 func bytesReader(b []byte) io.Reader { return &byteRdr{b: b} }

@@ -28,9 +28,15 @@ const (
 	// FeatDelta lets a same-key re-upload travel as an XOR/run-length
 	// delta against the previous version (MsgUploadDelta).
 	FeatDelta
+	// FeatPlan lets a repeatable exec (Exec.Repeat) travel as MsgExecPlan:
+	// the graph stays resident in a per-connection slot and later calls
+	// send only the node fields that changed (plan.go). A client asks for
+	// it on its own, once, before the first such exec on a connection
+	// nobody negotiated.
+	FeatPlan
 
 	// FeatAll is every feature this build implements.
-	FeatAll = FeatCompress | FeatDedup | FeatDelta
+	FeatAll = FeatCompress | FeatDedup | FeatDelta | FeatPlan
 )
 
 // compFlag marks a frame whose payload is deflate-compressed, prefixed
