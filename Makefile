@@ -6,6 +6,10 @@
 
 GO ?= go
 
+# COUNT repeats the chaos, brownout and pool suites (-count); the
+# nightly soak runs them with COUNT=8.
+COUNT ?= 1
+
 .PHONY: all build vet lint test test-short race check bench bench-kernels parity chaos pool wire prefixcache brownout
 
 all: check
@@ -56,8 +60,8 @@ parity:
 # mid-decode (byte-identical completion), and the join/leave/join churn
 # soak with goroutine-leak checks.
 pool:
-	$(GO) test -race -count=1 ./internal/pool/ -run .
-	$(GO) test -race -count=1 ./internal/cluster/ -run 'Remove|Evict'
+	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run .
+	$(GO) test -race -count=$(COUNT) ./internal/cluster/ -run 'Remove|Evict'
 
 # Negotiated wire tier (DESIGN.md §11) under the race detector: codec
 # round trips for the ref/delta/compressed frames (go test runs each
@@ -93,21 +97,21 @@ prefixcache:
 # backup-win races, and the end-to-end brownout smoke (one lane slowed,
 # zero failures, bit-identical tokens).
 brownout:
-	$(GO) test -race -count=1 ./internal/health/ -run .
-	$(GO) test -race -count=1 ./internal/chaos/ -run 'Brownout'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'Quarantin|Suspect|Healthz|Healthy'
-	$(GO) test -race -count=1 ./internal/pool/ -run 'Health'
-	$(GO) test -race -count=1 ./internal/kvcache/ -run 'Hedge'
-	$(GO) test -race -count=1 ./internal/eval/ -run 'Brownout'
+	$(GO) test -race -count=$(COUNT) ./internal/health/ -run .
+	$(GO) test -race -count=$(COUNT) ./internal/chaos/ -run 'Brownout'
+	$(GO) test -race -count=$(COUNT) ./internal/serve/ -run 'Quarantin|Suspect|Healthz|Healthy'
+	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run 'Health'
+	$(GO) test -race -count=$(COUNT) ./internal/kvcache/ -run 'Hedge'
+	$(GO) test -race -count=$(COUNT) ./internal/eval/ -run 'Brownout'
 
 # Fault-tolerance suite under the race detector: deterministic chaos
-# injection, hung-peer deadlines, breaker trips, lineage failover, and
-# the kill-backend-mid-decode soak (bit-identical tokens after
-# recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
+# injection, hung-peer deadlines, lane-gate trips and trials, lineage
+# failover, and the kill-backend-mid-decode soak (bit-identical tokens
+# after recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
 # Every alternative below names at least one test (go test -list): a
 # regex that matches nothing passes silently.
 chaos:
-	$(GO) test -race -count=1 ./internal/chaos/ -run .
-	$(GO) test -race -count=1 ./internal/transport/ -run 'Retrier|Breaker|CallCtx|Poison|Corrupt|Classify|StateLoss|Frame'
-	$(GO) test -race -count=1 ./internal/lineage/ -run 'Failover|KillBackend|Recover|Lost'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'Crash|HungPeer|RetryBudget|Breaker'
+	$(GO) test -race -count=$(COUNT) ./internal/chaos/ -run .
+	$(GO) test -race -count=$(COUNT) ./internal/transport/ -run 'Retrier|CallCtx|Poison|Corrupt|Classify|StateLoss|Frame'
+	$(GO) test -race -count=$(COUNT) ./internal/lineage/ -run 'Failover|KillBackend|Recover|Lost'
+	$(GO) test -race -count=$(COUNT) ./internal/serve/ -run 'Crash|HungPeer|RetryBudget|Trip|CallerDeadline'

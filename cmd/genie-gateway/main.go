@@ -9,7 +9,7 @@
 //	GET  /healthz      200 while serving; 503 while draining or while any
 //	                   lane is quarantined (JSON lists the sick lanes)
 //	GET  /stats        queue depth, batch occupancy, TTFT/latency percentiles,
-//	                   per-lane health scores (with -health)
+//	                   per-lane gate state and score (full scorer block with -health)
 //	GET  /metrics      Prometheus text: serve/transport counters, gauges, histograms
 //	GET  /debug/trace  Chrome trace JSON of the span ring buffer (chrome://tracing)
 //
@@ -99,9 +99,9 @@ func main() {
 	opTimeout := flag.Duration("op-timeout", 2*time.Second,
 		"per-RPC deadline on prefill/decode ops (0 = none; bounds hung-peer stalls)")
 	breakerThreshold := flag.Int("breaker-threshold", 3,
-		"consecutive backend failures that open a lane's circuit breaker")
+		"consecutive backend failures that trip a lane's gate into quarantine")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second,
-		"open-breaker cooldown before a half-open probe")
+		"quarantine dwell after a trip before one trial request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	kernelWorkers := flag.Int("kernel-workers", 0,
 		"CPU kernel worker-pool width (0 = GOMAXPROCS or GENIE_KERNEL_WORKERS, 1 = serial)")
@@ -134,8 +134,9 @@ func main() {
 			"backends that refuse stay on the legacy protocol")
 	healthOn := flag.Bool("health", true,
 		"graded fail-slow health scoring on every lane: Suspect lanes demote, "+
-			"Quarantined lanes drain through failover; /stats gains a health block "+
-			"and /healthz turns 503 while any lane is quarantined")
+			"Quarantined lanes drain through failover, idle lanes are probed and "+
+			"ops get an adaptive deadline; /stats gains a health block "+
+			"(false = trip-only gate: -breaker-* alone quarantine a lane)")
 	quarantineFactor := flag.Float64("quarantine-factor", 8,
 		"latency ratio vs the best lane's EWMA that quarantines an endpoint "+
 			"(suspect engages at 3)")

@@ -6,7 +6,7 @@ import (
 )
 
 // TimerleakAnalyzer flags timer allocations that leak, with loops as
-// the amplifier: the retry/breaker/churn paths run for the life of the
+// the amplifier: the retry/quarantine/churn paths run for the life of the
 // process, so a timer leaked per iteration is an unbounded heap of
 // runtime timers all pinned on the scheduler's heap until they fire —
 // exactly the slow-burn resource exhaustion chaos testing never quite

@@ -204,7 +204,7 @@ func runBrownoutServing(ctx context.Context, cfg BrownoutServingConfig, spec bro
 	if spec.healthOn {
 		// MinSamples 3: the bench run is a few hundred ms, and a browned
 		// lane produces evidence slowly (each judged op costs its full
-		// crawl, then the breaker parks the lane between attempts). The
+		// crawl, then a trip parks the lane between attempts). The
 		// production default of 8 suits long-lived serving; here it would
 		// let the run end before the verdict. DeadlineFactor 2 tightens
 		// the adaptive op deadline for the same reason: the victims of

@@ -1,26 +1,30 @@
-// Package health is the fail-slow complement to transport's circuit
-// breaker (DESIGN.md §13). The breaker answers a binary question — is
-// this endpoint failing? — which misses the dominant production failure
-// mode in disaggregated pools: a lane that is alive, answering every
-// call, and 50× slower than its peers. Such a lane never trips anything
-// yet poisons continuous batching (its decode steps pace the batch),
-// split-prefill TTFT (the prefill wedges on it), and pool-sharded
-// decode (every step waits for the slowest shard).
+// Package health is the serving layer's one lane gate (DESIGN.md §13).
+// Every serving lane carries a Tracker, and the Tracker's state decides
+// whether the lane admits work. The gate catches both ways a backend
+// goes bad. Fail-stop: consecutive failed calls Trip it. Fail-slow: a
+// lane that is alive, answering every call, and 50× slower than its
+// peers. Such a lane never fails a call yet poisons continuous batching
+// (its decode steps pace the batch), split-prefill TTFT (the prefill
+// wedges on it), and pool-sharded decode (every step waits for the
+// slowest shard).
 //
 // A Set tracks one Tracker per endpoint. Trackers fold two signal
 // families the serving layer already produces — per-operation latency
 // (EWMA + an exact-percentile window reused from internal/obs) and
-// error rate (an error EWMA over the breaker's failure classification)
+// error rate (an error EWMA over the lane's failure classification)
 // — plus lightweight active probes issued on idle lanes. Sickness is
 // *relative*: a lane is slow compared to the best EWMA across its set,
 // not against an absolute threshold, so the scorer needs no tuning per
-// model or per hardware tier.
+// model or per hardware tier. A set whose MinSamples is never reached
+// never grades at all: only Trip moves it, which is the classic
+// circuit breaker (trip, dwell, one trial).
 //
 // The judgment is a graded state machine rather than open/closed:
 //
 //	Healthy ──(latency ratio or error rate past suspect bounds)──▶ Suspect
 //	Suspect ──(past quarantine bounds)──▶ Quarantined
 //	Suspect ──(recovered)──▶ Healthy
+//	any state ──(Trip)──▶ Quarantined
 //	Quarantined ──(cooldown elapsed)──▶ Reinstating
 //	Reinstating ──(ReinstateStreak consecutive successes)──▶ Healthy
 //	Reinstating ──(any counted failure)──▶ Quarantined
@@ -28,10 +32,9 @@
 // Suspect demotes (the lane admits work only when healthy lanes are
 // saturated); Quarantined drains (active requests re-queue through the
 // existing lineage-failover path, so no state is lost); Reinstating
-// trickles one trial request at a time. Quarantine differs from
-// breaker-open on purpose: the breaker's open state means calls *fail*
-// and fast-fails them; quarantine means calls *succeed too slowly* to
-// be worth issuing, while probes keep measuring the endpoint.
+// trickles one trial request at a time. Quarantine covers both causes:
+// calls that *fail* (a Trip) and calls that *succeed too slowly* to be
+// worth issuing, while probes keep measuring the endpoint.
 package health
 
 import (
@@ -379,7 +382,7 @@ func (t *Tracker) Name() string { return t.name }
 // Observe folds one completed operation into the score: its latency
 // into the EWMA and percentile window, its outcome into the error
 // EWMA, then re-evaluates the state machine. failed should carry the
-// breaker's failure classification (an application-level remote error
+// caller's failure classification (an application-level remote error
 // proves the endpoint alive and healthy-fast).
 func (t *Tracker) Observe(d time.Duration, failed bool) {
 	t.window.Observe(d)
@@ -497,6 +500,36 @@ func (t *Tracker) toState(s State) {
 	if c := t.transitions[s]; c != nil {
 		c.Inc()
 	}
+}
+
+// Trip quarantines the endpoint now, whatever its grade or sample
+// count: the caller has seen enough consecutive failures to stop
+// sending it work. The dwell runs at least d from now; a longer dwell
+// already running is kept, never shortened.
+func (t *Tracker) Trip(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.set.cfg.Now()
+	t.reapLocked(now)
+	t.toState(Quarantined)
+	t.okStreak = 0
+	if until := now.Add(d); until.After(t.until) {
+		t.until = until
+	}
+	t.scoreGauge.Set(0)
+}
+
+// RetryAfter returns the time left in the quarantine dwell; zero in
+// every other state.
+func (t *Tracker) RetryAfter() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.set.cfg.Now()
+	t.reapLocked(now)
+	if t.state != Quarantined {
+		return 0
+	}
+	return t.until.Sub(now)
 }
 
 // State returns the current grade, applying the quarantine dwell timer.

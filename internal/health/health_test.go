@@ -146,6 +146,52 @@ func TestReinstateFailureRequarantines(t *testing.T) {
 	}
 }
 
+// TestTripQuarantinesAndDwells: Trip quarantines an endpoint that has
+// too few samples to be graded, RetryAfter counts the dwell down on the
+// clock and is 0 outside quarantine, a later Trip extends the dwell but
+// never shortens it, and a Trip during the trial sends it back.
+func TestTripQuarantinesAndDwells(t *testing.T) {
+	clk := newFakeClock()
+	s := testSet(clk, func(c *Config) { c.ReinstateStreak = 1 })
+	a := s.Endpoint("a")
+	feed(a, 2, time.Millisecond, true) // below MinSamples: never graded
+	if st, ra := a.State(), a.RetryAfter(); st != Healthy || ra != 0 {
+		t.Fatalf("before trip: state %v, RetryAfter %v; want Healthy, 0", st, ra)
+	}
+	a.Trip(time.Second)
+	if st, sc := a.State(), a.Score(); st != Quarantined || sc != 0 {
+		t.Fatalf("after trip: state %v, score %v; want Quarantined, 0", st, sc)
+	}
+	if ra := a.RetryAfter(); ra != time.Second {
+		t.Fatalf("RetryAfter = %v right after trip, want 1s", ra)
+	}
+	clk.advance(400 * time.Millisecond)
+	if ra := a.RetryAfter(); ra != 600*time.Millisecond {
+		t.Fatalf("RetryAfter = %v after 400ms, want 600ms", ra)
+	}
+	a.Trip(100 * time.Millisecond) // shorter: the running dwell is kept
+	if ra := a.RetryAfter(); ra != 600*time.Millisecond {
+		t.Fatalf("RetryAfter = %v after a shorter trip, want 600ms kept", ra)
+	}
+	a.Trip(time.Second) // longer: extended
+	if ra := a.RetryAfter(); ra != time.Second {
+		t.Fatalf("RetryAfter = %v after a longer trip, want 1s", ra)
+	}
+	clk.advance(time.Second)
+	if st, ra := a.State(), a.RetryAfter(); st != Reinstating || ra != 0 {
+		t.Fatalf("after dwell: state %v, RetryAfter %v; want Reinstating, 0", st, ra)
+	}
+	a.Trip(time.Second)
+	if st := a.State(); st != Quarantined {
+		t.Fatalf("state = %v after a trip during the trial, want Quarantined", st)
+	}
+	clk.advance(time.Second)
+	a.Observe(time.Millisecond, false)
+	if st := a.State(); st != Healthy {
+		t.Fatalf("state = %v after one clean trial, want Healthy", st)
+	}
+}
+
 func TestHealthiestRanking(t *testing.T) {
 	s := testSet(newFakeClock(), nil)
 	a := s.Endpoint("a")

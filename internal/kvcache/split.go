@@ -54,8 +54,8 @@ type SplitConfig struct {
 	// HedgePrefill issues the prefill to a second lane when the first
 	// has not answered within the adaptive deadline; the first result
 	// wins, the loser is cancelled (deliberately poisoning its conn —
-	// the fail-slow lane becomes fail-stop and its breaker/health see
-	// it), and exactly one result reaches the prefix cache.
+	// the fail-slow lane becomes fail-stop and its lane gate sees it),
+	// and exactly one result reaches the prefix cache.
 	HedgePrefill bool
 	// HedgeFloor is the minimum wait before hedging (default 25ms); the
 	// adaptive deadline (health.Config.HedgeFactor × the healthiest
@@ -203,8 +203,8 @@ func (sp *Split) execPrefill(ctx context.Context, ex *transport.Exec) (*transpor
 // outright), the first success wins, and the loser's exec is cancelled
 // mid-flight. Cancellation poisons the loser's conn by design — that is
 // the fail-slow → fail-stop conversion: a browned-out lane that would
-// otherwise stay wedged now fails its next call fast and its breaker
-// and health score react. Both workers send to a buffered channel, so
+// otherwise stay wedged now fails its next call fast and its lane
+// gate reacts. Both workers send to a buffered channel, so
 // the loser always runs to completion and nothing leaks.
 func (sp *Split) hedgeExec(ctx context.Context, primary, backup PrefillLane, ex *transport.Exec) (*transport.ExecOK, error) {
 	if ctx == nil {

@@ -147,11 +147,11 @@ func TestBackendCrashRequeuesToHealthyLane(t *testing.T) {
 	if st.TokensOut != 5 {
 		t.Errorf("tokens_out = %d, want 5 (no double-count across replay)", st.TokensOut)
 	}
-	if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" || bh.Requeued != 1 {
-		t.Errorf("b0 health = %+v, want open breaker with 1 requeue", bh)
+	if bh := st.Backends["b0"]; bh.Healthy || bh.Health != "quarantined" || bh.Requeued != 1 {
+		t.Errorf("b0 health = %+v, want tripped (quarantined) gate with 1 requeue", bh)
 	}
-	if bh := st.Backends["b1"]; !bh.Healthy || bh.Breaker != "closed" {
-		t.Errorf("b1 health = %+v, want closed breaker", bh)
+	if bh := st.Backends["b1"]; !bh.Healthy || bh.Health != "healthy" {
+		t.Errorf("b1 health = %+v, want healthy gate", bh)
 	}
 
 	b0.stop()
@@ -177,7 +177,7 @@ func TestRetryBudgetExhaustedSheds503(t *testing.T) {
 		RetryBudget:      1,
 		RetryAfter:       2 * time.Second,
 		BreakerThreshold: 1,
-		BreakerCooldown:  time.Nanosecond, // probe immediately
+		BreakerCooldown:  time.Nanosecond, // trial immediately
 	}, []Backend{{Name: "b0", Runner: b0.runner}})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestRetryBudgetExhaustedSheds503(t *testing.T) {
 // TestHungPeerFailsOverWithinOpTimeout is the wedged-engine regression:
 // the link to one backend of lane 0 silently swallows frames (a hung
 // peer), the per-op timeout rescues the lane within its bound, the
-// breaker opens, and the request completes on the healthy lane with the
+// lane's gate trips, and the request completes on the healthy lane with the
 // exact fault-free tokens. Every kind of lane must honour the deadline
 // at the RPC: a plain runner on the hung backend, a prefill/decode split
 // whose decode side hangs (the ΔKV handoff is its first RPC there), and
@@ -331,8 +331,8 @@ func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
 				}
 			}
 			st := e.Stats()
-			if bh := st.Backends["b0"]; bh.Healthy || bh.Breaker != "open" {
-				t.Errorf("b0 health = %+v, want open breaker after hang", bh)
+			if bh := st.Backends["b0"]; bh.Healthy || bh.Health != "quarantined" {
+				t.Errorf("b0 health = %+v, want tripped (quarantined) gate after hang", bh)
 			}
 
 			for _, sb := range append(extra, b0, b1) {
@@ -343,11 +343,11 @@ func TestHungPeerFailsOverWithinOpTimeout(t *testing.T) {
 	}
 }
 
-// TestBreakerProbeRejoinsRepairedBackend: after a failover, repairing
-// the backend (reinstalling weights) and letting the cooldown lapse
-// lets the half-open probe succeed, closing the breaker and returning
-// the lane to service.
-func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
+// TestTrippedLaneRejoinsAfterTrial: after a failover, repairing the
+// backend (reinstalling weights) and letting the cooldown lapse lets the
+// trial request succeed, reinstating the tripped lane and returning it
+// to service.
+func TestTrippedLaneRejoinsAfterTrial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	gpt := models.NewGPT(rng, models.TinyGPT)
 	want := refTokens(t, unitPrompt, 2)
@@ -388,8 +388,8 @@ func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
 	}
 
 	// Repair b0 (the crash wiped its weights), let the cooldown lapse,
-	// and probe with fresh traffic: the half-open probe must succeed and
-	// close the breaker.
+	// and trial it with fresh traffic: the trial must succeed and
+	// reinstate the lane.
 	if _, err := b0.runner.InstallModelWeights(); err != nil {
 		t.Fatal(err)
 	}
@@ -402,17 +402,17 @@ func TestBreakerProbeRejoinsRepairedBackend(t *testing.T) {
 		e.lanes[0].iterate()
 	}
 	if !isDone(ar2) || ar2.err != nil {
-		t.Fatalf("probe request did not complete on repaired lane: %v", ar2.err)
+		t.Fatalf("trial request did not complete on repaired lane: %v", ar2.err)
 	}
 	if ar2.res.Backend != "b0" {
-		t.Errorf("probe request finished on %q, want repaired b0", ar2.res.Backend)
+		t.Errorf("trial request finished on %q, want repaired b0", ar2.res.Backend)
 	}
 	for i := range want {
 		if ar2.res.Tokens[i] != want[i] {
 			t.Fatalf("repaired-lane tokens %v, want %v", ar2.res.Tokens, want)
 		}
 	}
-	if bh := e.Stats().Backends["b0"]; !bh.Healthy || bh.Breaker != "closed" {
-		t.Errorf("b0 health = %+v, want closed breaker after successful probe", bh)
+	if bh := e.Stats().Backends["b0"]; !bh.Healthy || bh.Health != "healthy" {
+		t.Errorf("b0 health = %+v, want healthy gate after a successful trial", bh)
 	}
 }

@@ -44,9 +44,9 @@ type StreamEvent struct {
 }
 
 // HealthzResponse is the degraded-state /healthz body: served with 503
-// when any lane is health-quarantined, carrying per-lane detail so an
-// external load balancer can see exactly which endpoints went
-// fail-slow.
+// when any lane's gate is quarantined, carrying per-lane detail so an
+// external load balancer can see exactly which endpoints tripped or
+// went fail-slow.
 type HealthzResponse struct {
 	Status      string                   `json:"status"`
 	Quarantined []string                 `json:"quarantined"`
@@ -102,7 +102,7 @@ func NewHandler(e *Engine) http.Handler {
 			http.Error(w, "no healthy backends", http.StatusServiceUnavailable)
 			return
 		}
-		// Degraded: some lanes quarantined by the fail-slow scorer. 503
+		// Degraded: some lanes quarantined (tripped or graded). 503
 		// with per-lane detail so an external load balancer can rotate
 		// this gateway out before tail latency (not just availability)
 		// collapses; capacity remains, so Retry-After is short.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	goruntime "runtime"
 	"sync/atomic"
 	"time"
@@ -22,24 +23,22 @@ import (
 // finished requests leave, queued requests join (prefill), and every
 // active request advances exactly one decode step.
 //
-// Every lane carries a circuit breaker for its endpoint: consecutive
-// transport-level failures open it, an open lane stops pulling from the
-// queue (its requests re-queue to healthy lanes), and after the
-// cooldown a single probe request decides whether it rejoins.
-//
-// With Config.Health set a lane additionally carries a fail-slow
-// tracker: per-op latencies and failures feed it, a Suspect lane
-// demotes itself (admitting only when healthy capacity is saturated),
-// a Quarantined lane drains its batch back to the queue through the
-// ordinary failover path, a Reinstating lane trials one request at a
-// time, and an idle lane pings its endpoint so recovery is observed
-// without risking real traffic.
+// Every lane carries one gate, a health.Tracker for its endpoint, and
+// every op outcome feeds it through record: BreakerThreshold
+// consecutive counted failures trip it into quarantine for
+// BreakerCooldown. A Quarantined lane admits nothing and drains its
+// batch back to the queue through the ordinary failover path, a
+// Reinstating lane trials one request at a time, and a Suspect lane
+// (graded by a shared Config.Health set) demotes itself, admitting only
+// when healthy capacity is saturated. With Config.Health set an idle
+// lane also pings its endpoint so recovery is observed without risking
+// real traffic.
 type lane struct {
 	e       *Engine
 	name    string
 	runner  *runtime.LLMRunner
-	breaker *transport.Breaker
-	tracker *health.Tracker
+	gate    *health.Tracker
+	streak  int // consecutive counted failures; lane goroutine only
 	active  []*activeReq
 	activeN atomic.Int32
 	wake    chan struct{}
@@ -53,25 +52,20 @@ type lane struct {
 
 func newLane(e *Engine, name string, r *runtime.LLMRunner) *lane {
 	l := &lane{e: e, name: name, runner: r, wake: make(chan struct{}, 1)}
-	l.breaker = transport.NewBreaker(transport.BreakerConfig{
-		Threshold: e.cfg.BreakerThreshold,
-		Cooldown:  e.cfg.BreakerCooldown,
-		Now:       e.clock.Now,
-		// The default classifier ignores remote errors (an application
-		// error doesn't mean the backend is down), but serving lanes must
-		// also trip on server-side state loss — a crashed backend answers
-		// politely while having lost every resident object.
-		IsFailure: func(err error) bool {
-			if err == nil || errors.Is(err, context.Canceled) {
-				return false
-			}
-			return lostBackend(err) || transport.IsFrameError(err)
-		},
-	})
-	l.breaker.Instrument(e.cfg.Metrics, name)
-	if e.cfg.Health != nil {
-		l.tracker = e.cfg.Health.Endpoint(name)
+	set := e.cfg.Health
+	if set == nil {
+		// A private one-member set that never reaches MinSamples never
+		// grades on latency or error rate: only trips move it, and one
+		// clean trial after the dwell reinstates it.
+		set = health.NewSet(health.Config{
+			MinSamples:      math.MaxInt,
+			Cooldown:        e.cfg.BreakerCooldown,
+			ReinstateStreak: 1,
+			Now:             e.clock.Now,
+			Metrics:         e.cfg.Metrics,
+		})
 	}
+	l.gate = set.Endpoint(name)
 	return l
 }
 
@@ -89,7 +83,7 @@ func (l *lane) run() {
 		}
 		l.maybeProbe()
 		if wait := l.idleWait(); wait > 0 {
-			// Wake on our own: when the breaker's cooldown lapses with work
+			// Wake on our own: when the quarantine dwell lapses with work
 			// still queued, and on the health prober's cadence.
 			t := time.NewTimer(wait)
 			select {
@@ -112,35 +106,25 @@ func (l *lane) run() {
 
 // idleWait returns how long an idle lane should sleep before rechecking
 // the queue on its own; 0 means sleep until nudged. Nonzero while this
-// lane's breaker blocks admission and work is waiting — the one state
-// where no future nudge is guaranteed to arrive — and, with health
-// scoring on, while the active prober needs the lane awake on its
-// cadence (probes are what let a Quarantined endpoint earn its way
-// back without real traffic).
+// lane's gate is quarantined and work is waiting — the one state where
+// no future nudge is guaranteed to arrive — and, with health scoring
+// on, while the active prober needs the lane awake on its cadence
+// (probes are what let a Quarantined endpoint earn its way back without
+// real traffic).
 func (l *lane) idleWait() time.Duration {
-	var probeWait time.Duration
-	if l.tracker != nil {
-		probeWait = l.tracker.ProbeWait()
+	var wait time.Duration
+	if l.e.cfg.Health != nil {
+		wait = l.gate.ProbeWait()
 	}
-	breakerWait := time.Duration(0)
-	if l.breaker.State() != transport.BreakerClosed {
+	if dwell := l.gate.RetryAfter(); dwell > 0 && (wait == 0 || dwell < wait) {
 		l.e.mu.Lock()
 		queued := l.e.queues.depth() > 0
 		l.e.mu.Unlock()
 		if queued {
-			breakerWait = l.breaker.RetryAfter()
-			if breakerWait <= 0 {
-				breakerWait = 10 * time.Millisecond
-			}
+			wait = dwell
 		}
 	}
-	switch {
-	case probeWait > 0 && breakerWait > 0 && probeWait < breakerWait:
-		return probeWait
-	case breakerWait > 0:
-		return breakerWait
-	}
-	return probeWait
+	return wait
 }
 
 // maybeProbe issues one active health probe when the lane is idle and
@@ -149,7 +133,7 @@ func (l *lane) idleWait() time.Duration {
 // outcome feeds the error side of the score (ping RTT is not exec
 // latency, so the latency EWMA is left alone).
 func (l *lane) maybeProbe() {
-	if l.tracker == nil || len(l.active) > 0 || !l.tracker.ProbeDue() {
+	if l.e.cfg.Health == nil || len(l.active) > 0 || !l.gate.ProbeDue() {
 		return
 	}
 	p, ok := l.runner.EP.(interface {
@@ -165,14 +149,16 @@ func (l *lane) maybeProbe() {
 	t0 := l.e.clock.Now()
 	_, err := p.PingCtx(ctx)
 	cancel()
-	l.tracker.ObserveProbe(l.e.clock.Now().Sub(t0), err != nil)
+	l.gate.ObserveProbe(l.e.clock.Now().Sub(t0), err != nil)
 }
 
 // iterate executes one step boundary; it reports whether any work was
 // done (false = the lane is idle and may sleep).
 func (l *lane) iterate() bool {
-	worked := l.drainQuarantined()
-	worked = l.admit() || worked
+	// Drain after admission so a trip during a newcomer's prefill hands
+	// the batch back before it steps on the failing backend.
+	worked := l.admit()
+	worked = l.drainQuarantined() || worked
 	if len(l.active) > 0 {
 		worked = true
 		stepped := 0
@@ -205,10 +191,7 @@ func (l *lane) iterate() bool {
 // burned (quarantine is the engine's decision, not the backend's
 // failure). Reports whether anything was drained.
 func (l *lane) drainQuarantined() bool {
-	if l.tracker == nil || len(l.active) == 0 {
-		return false
-	}
-	if l.tracker.State() != health.Quarantined {
+	if len(l.active) == 0 || l.gate.State() != health.Quarantined {
 		return false
 	}
 	for _, ar := range l.active {
@@ -225,15 +208,12 @@ func (l *lane) drainQuarantined() bool {
 	return true
 }
 
-// admissible applies the graded health gate ahead of the binary breaker
-// one: Quarantined admits nothing, Reinstating trials one request at a
-// time, Suspect yields to healthy lanes with room (demotion, not
-// removal — a merely-slow lane still serves overflow).
+// admissible applies the lane's gate: Quarantined admits nothing,
+// Reinstating trials one request at a time, Suspect yields to healthy
+// lanes with room (demotion, not removal — a merely-slow lane still
+// serves overflow).
 func (l *lane) admissible() bool {
-	if l.tracker == nil {
-		return true
-	}
-	switch l.tracker.State() {
+	switch l.gate.State() {
 	case health.Quarantined:
 		return false
 	case health.Reinstating:
@@ -245,19 +225,15 @@ func (l *lane) admissible() bool {
 }
 
 // admit moves queued requests into the running batch until it is full,
-// running each newcomer's prefill. An open breaker stops admission cold
-// (queued work stays for healthy lanes); once the cooldown lapses the
-// first dequeued request doubles as the half-open probe, carrying the
-// breaker's probe identity so only its prefill outcome settles the
-// probe. Reports whether anything was admitted or retired.
+// running each newcomer's prefill. A gate that refuses stops admission
+// cold (queued work stays for healthier lanes); the request admitted
+// while Reinstating is the trial whose outcome decides the lane.
+// Reports whether anything was admitted or retired.
 func (l *lane) admit() bool {
 	worked := false
 	for len(l.active) < l.e.cfg.MaxBatch {
-		if l.breaker.State() == transport.BreakerOpen && l.breaker.RetryAfter() > 0 {
-			break // cooling down; don't touch the queue
-		}
 		if !l.admissible() {
-			break // health-demoted; queued work stays for healthier lanes
+			break
 		}
 		ar := l.e.dequeue()
 		if ar == nil {
@@ -270,14 +246,6 @@ func (l *lane) admit() bool {
 		if l.retireIfDone(ar) {
 			continue
 		}
-		probe, err := l.breaker.Allow()
-		if err != nil {
-			// Lost the probe-slot race; hand the request back untouched.
-			_, ar.qspan = obs.StartSpan(ar.tctx, "serve.queue")
-			l.e.requeue(l, ar)
-			break
-		}
-		ar.bprobe = probe
 		if !l.prefill(ar) {
 			continue // retired at admission (cancelled/expired/failed/re-queued)
 		}
@@ -320,11 +288,9 @@ func (l *lane) prefill(ar *activeReq) bool {
 	s0 := l.e.clock.Now()
 	sess, err := l.runner.NewScopedSessionCtx(ar.tctx, l.e.cfg.Mode, fmt.Sprintf("req%d/", ar.id))
 	if err != nil {
-		l.breaker.Record(err)
-		l.concludeProbe(ar, err)
-		// The scorer sees what the breaker sees: a session that cannot even
-		// be created is a judged failure, not a silent one.
-		l.observe(l.e.clock.Now().Sub(s0), err)
+		// A session that cannot even be created is a judged failure, not
+		// a silent one.
+		l.record(ar.tctx, l.e.clock.Now().Sub(s0), err)
 		l.fail(ar, err)
 		return false
 	}
@@ -336,9 +302,7 @@ func (l *lane) prefill(ar *activeReq) bool {
 	first, err := sess.PrefillCtx(opctx, ar.prompt)
 	cancel()
 	pspan.End()
-	l.breaker.Record(err)
-	l.concludeProbe(ar, err)
-	l.observe(l.e.clock.Now().Sub(t0), err)
+	l.record(ar.tctx, l.e.clock.Now().Sub(t0), err)
 	if err != nil {
 		l.fail(ar, err)
 		return false
@@ -370,8 +334,7 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 	cancel()
 	d := l.e.clock.Now().Sub(t0)
 	l.e.stats.recordStep(d)
-	l.breaker.Record(err)
-	l.observe(d, err)
+	l.record(ar.tctx, d, err)
 	if err != nil {
 		l.fail(ar, err)
 		return false, false
@@ -384,24 +347,30 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 	return true, true
 }
 
-// concludeProbe settles the breaker's half-open probe when this
-// request's admission claimed it; a no-op for ordinary admissions.
-func (l *lane) concludeProbe(ar *activeReq, err error) {
-	ar.bprobe.Conclude(err)
-	ar.bprobe = nil
-}
-
-// observe feeds one op's latency and failure classification to the
-// health tracker. Caller-side cancellation says nothing about the
-// endpoint and is skipped.
-func (l *lane) observe(d time.Duration, err error) {
-	if l.tracker == nil {
+// record feeds one op's outcome to the lane's gate; ctx is the
+// request's own context. A failure counts against the endpoint when it
+// means the backend is lost or speaking garbage; a remote error proves
+// the server alive. Caller-side cancellation, and any error after the
+// request's own context is done, says nothing about the endpoint: it
+// resets the streak and is not scored. A per-op timeout still counts,
+// because its parent context is alive. Every op of a lane runs on the
+// lane's goroutine, so the streak needs no lock and no outcome can race
+// a trip.
+func (l *lane) record(ctx context.Context, d time.Duration, err error) {
+	if err != nil && (errors.Is(err, context.Canceled) || ctx != nil && ctx.Err() != nil) {
+		l.streak = 0
 		return
 	}
-	if err != nil && errors.Is(err, context.Canceled) {
+	failed := err != nil && (lostBackend(err) || transport.IsFrameError(err))
+	l.gate.Observe(d, failed)
+	if !failed {
+		l.streak = 0
 		return
 	}
-	l.tracker.Observe(d, err != nil && (lostBackend(err) || transport.IsFrameError(err)))
+	l.streak++
+	if l.streak >= l.e.cfg.BreakerThreshold {
+		l.gate.Trip(l.e.cfg.BreakerCooldown)
+	}
 }
 
 // lostBackend classifies errors that mean the backend (not the request)

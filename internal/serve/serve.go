@@ -25,7 +25,6 @@ import (
 	"genie/internal/obs"
 	"genie/internal/quant"
 	"genie/internal/runtime"
-	"genie/internal/transport"
 )
 
 // Engine lifecycle errors.
@@ -94,8 +93,9 @@ type Config struct {
 	// per-op bound (the request deadline still applies).
 	OpTimeout time.Duration
 	// BreakerThreshold and BreakerCooldown parameterize each lane's
-	// circuit breaker (zero values take transport's defaults: 3
-	// consecutive failures, 1s cooldown).
+	// trip: BreakerThreshold consecutive counted failures quarantine the
+	// lane's gate for BreakerCooldown, after which one trial request
+	// decides whether it rejoins (defaults 3 and 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Health, when set, is the shared fail-slow scorer (DESIGN.md §13).
@@ -105,8 +105,9 @@ type Config struct {
 	// path, trial Reinstating ones a request at a time, issue active
 	// probes while idle, and bound each remote op with an adaptive
 	// deadline derived from healthy-peer latency — converting fail-slow
-	// into the fail-stop the breaker/retry machinery already handles.
-	// Nil disables the layer entirely (binary breaker behavior only).
+	// into the fail-stop the trip/retry machinery already handles.
+	// Nil gives each lane a private trip-only gate: no grading, no
+	// probes, no adaptive deadline.
 	Health *health.Set
 	// HealthOpFloor is the lower bound of the adaptive per-op deadline
 	// derived from Health — headroom for legitimately slow ops like
@@ -155,6 +156,12 @@ func (c *Config) fillDefaults() {
 	}
 	if c.HealthOpFloor <= 0 {
 		c.HealthOpFloor = 50 * time.Millisecond
+	}
+	if c.BreakerThreshold <= 0 {
+		c.BreakerThreshold = 3
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = time.Second
 	}
 }
 
@@ -232,9 +239,6 @@ type activeReq struct {
 	// retries counts backend-loss re-queues consumed against the engine's
 	// RetryBudget.
 	retries int
-	// bprobe is the breaker probe identity when this request's admission
-	// doubled as the half-open probe; its prefill outcome concludes it.
-	bprobe *transport.Probe
 	// replayed is how many leading tokens were already delivered before a
 	// re-queue; the deterministic regeneration on the new lane re-emits
 	// nothing below this index.
@@ -501,7 +505,7 @@ func (e *Engine) nudge() {
 }
 
 // requeue returns a request to the admission queue after its lane lost
-// the backend (or refused it at the breaker). Re-queued work bypasses
+// the backend (or drained it at quarantine). Re-queued work bypasses
 // the MaxQueue bound — it was already admitted once — and wakes every
 // lane except the one that failed it, so a healthy lane picks it up
 // without the failed lane spinning on its own rejection.
@@ -521,51 +525,42 @@ func (e *Engine) requeue(from *lane, ar *activeReq) {
 	}
 }
 
-// anyHealthyBackend reports whether at least one lane can take work:
-// breaker closed and, when health scoring is on, not quarantined (the
-// /healthz degraded signal).
+// serving reports whether a lane in gate state s takes ordinary
+// traffic: a Suspect lane still serves (demoted); a Quarantined one does
+// not, and a Reinstating one only trials.
+func serving(s health.State) bool { return s == health.Healthy || s == health.Suspect }
+
+// anyHealthyBackend reports whether at least one lane is serving (the
+// /healthz availability signal).
 func (e *Engine) anyHealthyBackend() bool {
 	for _, l := range e.lanes {
-		if l.breaker.State() != transport.BreakerClosed {
-			continue
+		if serving(l.gate.State()) {
+			return true
 		}
-		if l.tracker != nil && l.tracker.State() == health.Quarantined {
-			continue
-		}
-		return true
 	}
 	return false
 }
 
-// quarantinedLanes lists lanes currently under health quarantine (the
-// /healthz degraded detail). Empty without health scoring.
+// quarantinedLanes lists lanes whose gate is quarantined, tripped or
+// graded (the /healthz degraded detail).
 func (e *Engine) quarantinedLanes() []string {
 	var out []string
 	for _, l := range e.lanes {
-		if l.tracker != nil && l.tracker.State() == health.Quarantined {
+		if l.gate.State() == health.Quarantined {
 			out = append(out, l.name)
 		}
 	}
 	return out
 }
 
-// healthyRoomElsewhere reports whether any other lane is Healthy (full
-// grade, breaker closed) with decode-batch room — the signal a Suspect
-// lane uses to demote itself: it admits work only when healthy
-// capacity is saturated, so a merely-slow lane stops poisoning TTFT
-// without the engine losing its capacity outright.
+// healthyRoomElsewhere reports whether any other lane is Healthy with
+// decode-batch room — the signal a Suspect lane uses to demote itself:
+// it admits work only when healthy capacity is saturated, so a
+// merely-slow lane stops poisoning TTFT without the engine losing its
+// capacity outright.
 func (e *Engine) healthyRoomElsewhere(me *lane) bool {
 	for _, l := range e.lanes {
-		if l == me || l.tracker == nil {
-			continue
-		}
-		if l.tracker.State() != health.Healthy {
-			continue
-		}
-		if l.breaker.State() != transport.BreakerClosed {
-			continue
-		}
-		if int(l.activeN.Load()) < e.cfg.MaxBatch {
+		if l != me && l.gate.State() == health.Healthy && int(l.activeN.Load()) < e.cfg.MaxBatch {
 			return true
 		}
 	}
@@ -645,19 +640,14 @@ func (e *Engine) Stats() Stats {
 	st.Backends = make(map[string]BackendHealth, len(e.lanes))
 	for _, l := range e.lanes {
 		st.Active += int(l.activeN.Load())
-		state := l.breaker.State()
-		bh := BackendHealth{
-			Healthy:  state == transport.BreakerClosed,
-			Breaker:  state.String(),
+		state := l.gate.State()
+		st.Backends[l.name] = BackendHealth{
+			Healthy:  serving(state),
 			Failures: l.failures.Load(),
 			Requeued: l.requeues.Load(),
+			Health:   state.String(),
+			Score:    l.gate.Score(),
 		}
-		if l.tracker != nil {
-			bh.Health = l.tracker.State().String()
-			bh.Score = l.tracker.Score()
-			bh.Healthy = bh.Healthy && l.tracker.State() != health.Quarantined
-		}
-		st.Backends[l.name] = bh
 	}
 	if e.cfg.Health != nil {
 		st.Health = e.cfg.Health.Snapshot()

@@ -39,20 +39,18 @@ type TenantLoad struct {
 }
 
 // BackendHealth is one backend lane's availability view: whether its
-// breaker is closed, the breaker state by name, how much trouble the
-// lane has seen (backend-loss errors observed, requests it handed back
-// to the queue), and — when the fail-slow layer is on — the graded
-// health state and score.
+// gate lets it serve, how much trouble the lane has seen (backend-loss
+// errors observed, requests it handed back to the queue), and the
+// gate's state and score.
 type BackendHealth struct {
-	Healthy  bool   `json:"healthy"`
-	Breaker  string `json:"breaker"`
-	Failures int64  `json:"failures"`
-	Requeued int64  `json:"requeued"`
-	// Health is the graded fail-slow state (healthy/suspect/quarantined/
-	// reinstating); empty without Config.Health. Score is the composite
-	// health score in (0,1], 0 while quarantined.
-	Health string  `json:"health,omitempty"`
-	Score  float64 `json:"score,omitempty"`
+	Healthy  bool  `json:"healthy"`
+	Failures int64 `json:"failures"`
+	Requeued int64 `json:"requeued"`
+	// Health is the gate state (healthy/suspect/quarantined/
+	// reinstating). Score is the composite health score in (0,1], 0
+	// while quarantined.
+	Health string  `json:"health"`
+	Score  float64 `json:"score"`
 }
 
 // Stats is the engine's observable state — the /stats payload.
@@ -86,7 +84,7 @@ type Stats struct {
 	// Tenants breaks Queued/Active down per tenant (omitted when idle).
 	Tenants map[string]TenantLoad `json:"tenants,omitempty"`
 	// Backends maps backend name to its lane's health view — the /stats
-	// surface for breaker transitions and failover activity.
+	// surface for gate transitions and failover activity.
 	Backends map[string]BackendHealth `json:"backends,omitempty"`
 	// Health is the fail-slow scorer's full per-endpoint snapshot
 	// (EWMAs, exact percentiles, error rates, probe counts) when

@@ -5,12 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"genie/internal/obs"
 )
 
 // TestCallCtxHungPeer is the regression test for the forever-block bug:
@@ -347,210 +343,5 @@ func TestRetrierDeterministicBackoff(t *testing.T) {
 	}
 	if !(a[0] < a[1] && a[1] < a[2]) {
 		t.Fatalf("backoff not growing: %v", a)
-	}
-}
-
-// TestBreakerLifecycle walks closed → open → half-open → closed with a
-// fake clock and checks the obs series along the way.
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(1000, 0)
-	reg := obs.NewRegistry()
-	b := NewBreaker(BreakerConfig{
-		Threshold: 2,
-		Cooldown:  time.Second,
-		Now:       func() time.Time { return now },
-	})
-	b.Instrument(reg, "b0")
-
-	if b.State() != BreakerClosed {
-		t.Fatal("new breaker not closed")
-	}
-	// Two availability failures trip it.
-	for i := 0; i < 2; i++ {
-		if _, err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker rejected call %d: %v", i, err)
-		}
-		b.Record(io.EOF)
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", b.State())
-	}
-	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker admitted a call: %v", err)
-	}
-	if ra := b.RetryAfter(); ra != time.Second {
-		t.Fatalf("RetryAfter = %v, want 1s", ra)
-	}
-
-	// Cooldown elapses: one probe is admitted, concurrent calls rejected.
-	now = now.Add(1100 * time.Millisecond)
-	probe, err := b.Allow()
-	if err != nil {
-		t.Fatalf("half-open probe rejected: %v", err)
-	}
-	if probe == nil {
-		t.Fatal("half-open admission carried no probe identity")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state during probe = %v", b.State())
-	}
-	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("second call admitted during probe")
-	}
-	// Probe fails → straight back to open.
-	probe.Conclude(io.EOF)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-
-	// Next probe succeeds → closed, streak cleared.
-	now = now.Add(1100 * time.Millisecond)
-	probe, err = b.Allow()
-	if err != nil {
-		t.Fatalf("second probe rejected: %v", err)
-	}
-	probe.Conclude(nil)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after good probe = %v, want closed", b.State())
-	}
-	if probe, err := b.Allow(); err != nil || probe != nil {
-		t.Fatal("closed breaker rejecting again (or handing out probes)")
-	}
-	b.Record(nil)
-
-	if v := reg.Counter("genie_breaker_rejected_total", "", "endpoint", "b0").Value(); v != 2 {
-		t.Errorf("rejected counter = %d, want 2", v)
-	}
-	if v := reg.Counter("genie_breaker_transitions_total", "", "endpoint", "b0", "to", "open").Value(); v != 2 {
-		t.Errorf("open transitions = %d, want 2", v)
-	}
-	if v := reg.Gauge("genie_breaker_state", "", "endpoint", "b0").Value(); v != int64(BreakerClosed) {
-		t.Errorf("state gauge = %d, want closed", v)
-	}
-}
-
-// TestBreakerIgnoresRemoteErrors: an application error proves the
-// server is alive; it must not trip the breaker and it resets the
-// streak a real failure started.
-func TestBreakerIgnoresRemoteErrors(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2})
-	_, _ = b.Allow()
-	b.Record(io.EOF)
-	_, _ = b.Allow()
-	b.Record(&RemoteError{Msg: "backend: no such key"})
-	_, _ = b.Allow()
-	b.Record(io.EOF)
-	if b.State() != BreakerClosed {
-		t.Fatalf("breaker tripped by interleaved remote errors: %v", b.State())
-	}
-}
-
-// TestBreakerProbeAttribution is the regression test for the half-open
-// probe race: Record used to attribute whatever outcome arrived first
-// while half-open to the probe. A late Record from a call admitted
-// before the trip could then conclude a probe it never held — freeing
-// the probe slot so additional callers were admitted as "probes" — and
-// a stray late success could close an open breaker with no probe run
-// at all. Record is now probe-neutral; only Probe.Conclude settles one.
-func TestBreakerProbeAttribution(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := NewBreaker(BreakerConfig{
-		Threshold: 2,
-		Cooldown:  time.Second,
-		Now:       func() time.Time { return now },
-	})
-
-	// Two calls are admitted while closed; their outcomes will arrive
-	// late. Two more trip the breaker.
-	for i := 0; i < 4; i++ {
-		if _, err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker rejected call %d: %v", i, err)
-		}
-	}
-	b.Record(io.EOF)
-	b.Record(io.EOF)
-	if b.State() != BreakerOpen {
-		t.Fatal("setup: breaker should be open")
-	}
-
-	// Late success from a pre-trip call arrives while open: must NOT
-	// close the breaker (the old code did).
-	b.Record(nil)
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("late success closed an open breaker: state = %v", st)
-	}
-
-	// Cooldown elapses; one probe claims the slot.
-	now = now.Add(1100 * time.Millisecond)
-	probe, err := b.Allow()
-	if err != nil || probe == nil {
-		t.Fatalf("probe not admitted: probe=%v err=%v", probe, err)
-	}
-
-	// Late failure from the other pre-trip call arrives while half-open:
-	// must NOT conclude the probe or free its slot.
-	b.Record(io.EOF)
-	if st := b.State(); st != BreakerHalfOpen {
-		t.Fatalf("late failure concluded the probe: state = %v", st)
-	}
-	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("probe slot freed by a non-probe Record; second probe admitted")
-	}
-
-	// Only the identity token settles the probe.
-	probe.Conclude(nil)
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state after probe conclude = %v, want closed", st)
-	}
-	// Stale double-conclude is a no-op.
-	probe.Conclude(io.EOF)
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("stale conclude moved the breaker: state = %v", st)
-	}
-}
-
-// TestBreakerSingleProbeUnderRace hammers a cooled-down breaker from
-// many goroutines (run under -race): exactly one caller may hold probe
-// identity per cooldown window, no matter how the dequeues interleave
-// with late Records from earlier calls.
-func TestBreakerSingleProbeUnderRace(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond})
-	if _, err := b.Allow(); err != nil {
-		t.Fatal("closed breaker rejected")
-	}
-	b.Record(io.EOF)
-	if b.State() != BreakerOpen {
-		t.Fatal("setup: breaker should be open")
-	}
-	time.Sleep(2 * time.Millisecond)
-
-	const callers = 32
-	var wg sync.WaitGroup
-	var probes atomic.Int64
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			probe, err := b.Allow()
-			if probe != nil {
-				probes.Add(1)
-			}
-			if err != nil {
-				// Rejected caller; its late Record from a previous life
-				// must stay probe-neutral.
-				b.Record(io.EOF)
-				b.Record(nil)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if n := probes.Load(); n != 1 {
-		t.Fatalf("%d callers claimed probe identity, want exactly 1", n)
-	}
-	if st := b.State(); st != BreakerHalfOpen {
-		t.Fatalf("state = %v with the probe still unconcluded, want half-open", st)
 	}
 }
