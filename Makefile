@@ -80,8 +80,8 @@ wire:
 
 # Prefix KV cache + prefill/decode split under the race detector:
 # radix lookup/insert/split/evict mechanics, the exact ΔKV handoff and
-# warm-prefix dedup, ref-count churn with goroutine-leak checks, the
-# prefill-lane crash/failover chaos variant, session key accounting, and
+# warm-prefix dedup, ref-count churn with goroutine-leak checks, a
+# failed prefill lane surfacing its error, session key accounting, and
 # the suffix-only extend graph the cache rides on (token parity cache
 # on/off and split vs colocated is `make parity`).
 prefixcache:
@@ -105,13 +105,17 @@ brownout:
 	$(GO) test -race -count=$(COUNT) ./internal/eval/ -run 'Brownout'
 
 # Fault-tolerance suite under the race detector: deterministic chaos
-# injection, hung-peer deadlines, lane-gate trips and trials, lineage
-# failover, and the kill-backend-mid-decode soak (bit-identical tokens
-# after recovery). GENIE_CHAOS_SEED pins the fault schedule when reproducing.
+# injection, hung-peer deadlines, lane-gate trips and trials, resume
+# from the token log (bit-identical KV and tokens from one prefill, the
+# session core's repair rule), and crash/leave mid-decode in the pool and
+# the serving engine (bit-identical tokens after recovery, one prefill
+# of recovery cost). GENIE_CHAOS_SEED pins the fault schedule when
+# reproducing.
 # Every alternative below names at least one test (go test -list): a
 # regex that matches nothing passes silently.
 chaos:
 	$(GO) test -race -count=$(COUNT) ./internal/chaos/ -run .
 	$(GO) test -race -count=$(COUNT) ./internal/transport/ -run 'Retrier|CallCtx|Poison|Corrupt|Classify|StateLoss|Frame'
-	$(GO) test -race -count=$(COUNT) ./internal/lineage/ -run 'Failover|KillBackend|Recover|Lost'
+	$(GO) test -race -count=$(COUNT) ./internal/runtime/ -run 'Resume'
+	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run 'CrashMidDecode|LeaveMidDecode'
 	$(GO) test -race -count=$(COUNT) ./internal/serve/ -run 'Crash|HungPeer|RetryBudget|Trip|CallerDeadline'

@@ -7,18 +7,16 @@
 //
 // Paper-scale experiments (GPT-J 6B / A100 / 25 Gbps) run on the
 // discrete-event simulator; correctness-plane benchmarks (pinning,
-// lineage recovery, transport) measure real execution.
+// resume recovery, transport) measure real execution.
 package genie
 
 import (
-	"context"
 	"math/rand"
 	"net"
 	"strconv"
 	"testing"
 
 	"genie/internal/eval"
-	"genie/internal/lineage"
 	"genie/internal/models"
 	"genie/internal/nn"
 	"genie/internal/runtime"
@@ -224,69 +222,32 @@ func sink(b []byte) {
 	}
 }
 
-// BenchmarkLineageRecovery measures real end-to-end recovery of a decode
-// loop's state after a crash (A5): detect + replay over a live TCP
-// backend.
-func BenchmarkLineageRecovery(b *testing.B) {
+// BenchmarkResumeRecovery measures real end-to-end recovery of a decode
+// loop's state after a crash (A5) over a live TCP backend: re-install
+// the weights, then one prefill over the token log (prompt ‖ emitted
+// tokens) rebuilds every lost KV row.
+func BenchmarkResumeRecovery(b *testing.B) {
 	srv := newBenchServer(b)
-	client := dialBench(b, srv.addr)
-	mgr := lineage.NewManager()
-	mgr.RegisterEndpoint("gpu0", client)
-
-	rng := rand.New(rand.NewSource(9))
-	gpt := models.NewGPT(rng, models.TinyGPT)
+	r := &runtime.LLMRunner{Model: models.NewGPT(rand.New(rand.NewSource(9)), models.TinyGPT), EP: dialBench(b, srv.addr)}
 	prompt := []int64{1, 2, 3, 4}
-	pb, _ := gpt.BuildPrefill(prompt)
-	for _, n := range pb.Graph().Nodes() {
-		if n.Op == "param" {
-			data, _ := pb.ParamData(n.Ref)
-			if err := mgr.UploadTracked("gpu0", n.Ref, data); err != nil {
-				b.Fatal(err)
-			}
-		}
+	res, err := r.Generate(runtime.ModeSemAware, prompt, 4)
+	if err != nil {
+		b.Fatal(err)
 	}
-	// Prefill + a few decode steps, tracked.
-	runTracked := func(bl *builderAlias, out models.LLMOutputs) int64 {
-		ex := &transport.Exec{Graph: bl.Graph(), Keep: map[srg.NodeID]string{}}
-		for _, n := range bl.Graph().Nodes() {
-			if n.Op == "input" {
-				if n.Residency == srg.ResidencyStatefulKVCache {
-					ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Key: n.Ref})
-					continue
-				}
-				data, _ := bl.InputData(n.Ref)
-				ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-			}
-		}
-		for i := range out.CacheK {
-			ex.Keep[out.CacheK[i]] = models.CacheRef(i, "k")
-			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
-		}
-		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := mgr.ExecTracked(context.Background(), "gpu0", ex)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ok.Results[out.NextToken].I64()[0]
-	}
-	pb2, out := gpt.BuildPrefill(prompt)
-	next := runTracked(pb2, out)
-	hist := len(prompt)
-	for s := 0; s < 3; s++ {
-		db, dout := gpt.BuildDecodeStep(next, hist, hist, emptyBenchCaches(gpt))
-		next = runTracked(db, dout)
-		hist++
-	}
+	tokenLog := append(append([]int64(nil), prompt...), res.Tokens...)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.srv.Crash()
-		n, err := mgr.RecoverFrom("gpu0", "gpu0")
+		if _, err := r.InstallModelWeights(); err != nil {
+			b.Fatal(err)
+		}
+		s, err := r.NewSession(runtime.ModeSemAware)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n == 0 {
-			b.Fatal("nothing recovered")
+		if _, err := s.Prefill(tokenLog); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -281,9 +281,10 @@ func printChaos() {
 	} else {
 		fmt.Println("backend b0 never reached the crash point (run too short for the schedule)")
 	}
-	fmt.Println("(goodput = completed requests; re-queued work re-decodes its prefix on")
-	fmt.Println(" the survivor, so the crash costs duplicate compute, not correctness —")
-	fmt.Println(" CPU wall-clock numbers, not the paper's modeled GPU times)")
+	fmt.Println("(goodput = completed requests; re-queued work resumes on the survivor")
+	fmt.Println(" with one prefill over prompt + delivered tokens, so the crash costs one")
+	fmt.Println(" prefill per victim, not correctness — CPU wall-clock numbers, not the")
+	fmt.Println(" paper's modeled GPU times)")
 	fmt.Println()
 }
 
@@ -387,7 +388,7 @@ func printShardReport() {
 	}
 	fmt.Println("(host wall-clock over net.Pipe backends; cross-shard B is activation")
 	fmt.Println(" traffic for the whole run, leave rebuild is Leave() wall time incl.")
-	fmt.Println(" lineage replay of the departed member's weights and KV onto the spare)")
+	fmt.Println(" re-installing the departed member's weights on the spare; sessions rebuild their own KV)")
 	fmt.Println()
 }
 
@@ -451,8 +452,8 @@ func livePoolRow(cfg models.GPTConfig, ways int) (poolRow, error) {
 	el := time.Since(start)
 
 	// A spare joins (plan unchanged), then a shard owner departs; the
-	// Leave call covers plan rebuild + lineage replay of the departed
-	// member's shard onto the spare, with the session's KV still live.
+	// Leave call covers plan rebuild + re-installing the departed
+	// member's shard weights on the spare, with a session still live.
 	if err := add("spare"); err != nil {
 		return poolRow{}, err
 	}
@@ -598,8 +599,8 @@ func printAblations(cfg eval.LLMSimConfig) {
 			p.FetchTime.Round(10e3), p.RecompTime.Round(10e3), decision)
 	}
 
-	fmt.Println("\n== A5: lineage recovery vs full restart ==")
-	fmt.Printf("%-8s %14s %14s\n", "depth", "lineage replay", "full restart")
+	fmt.Println("\n== A5: resume from the token log vs full restart ==")
+	fmt.Printf("%-8s %14s %14s\n", "depth", "resume prefill", "full restart")
 	for _, p := range eval.AblationLineageRecovery(cfg, []int{10, 50, 200}) {
 		fmt.Printf("%-8d %13.1fs %13.1fs\n", p.Depth, p.ReplayCost.Seconds(), p.FullRestart.Seconds())
 	}

@@ -1,122 +1,94 @@
-// Command faulttolerance demonstrates §3.5's lineage-based recovery: a
-// GPT decode loop runs against one backend with weights and KV caches
-// tracked by the lineage manager; mid-generation the server crashes
-// (losing all resident state); the manager detects the stale epochs,
-// replays exactly the lost provenance chains onto a standby backend, and
-// the loop continues — producing the same tokens a failure-free run
-// would, without the client recomputing anything itself.
+// Command faulttolerance demonstrates §3.5's recovery by recompute: a
+// GPT decode loop runs semantics-aware against a primary backend that
+// holds the weights and the KV cache; mid-generation the primary
+// crashes, losing all resident state. The lost state is exactly the
+// prefill state of the longer prompt — prompt ‖ the tokens generated so
+// far — so a session on a standby rebuilds it with one prefill over
+// that token log and decoding continues, producing the tokens a
+// failure-free run would.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
-	"time"
 
 	"genie"
-	"genie/internal/models"
-	"genie/internal/nn"
-	"genie/internal/srg"
-	"genie/internal/transport"
 )
 
 func main() {
 	primarySrv, primary := startServer()
 	standbySrv, standby := startServer()
-	_ = standbySrv
 
-	mgr := genie.NewLineageManager()
-	mgr.RegisterEndpoint("primary", primary)
-	mgr.RegisterEndpoint("standby", standby)
-
-	rng := rand.New(rand.NewSource(2026))
-	model := genie.NewGPTModel(rng, genie.TinyGPT)
+	model := genie.NewGPTModel(rand.New(rand.NewSource(2026)), genie.TinyGPT)
 	prompt := []int64{9, 41, 7, 23, 60}
+	const total = 7
 
-	// Install weights under lineage tracking.
-	pb, _ := model.BuildPrefill(prompt)
-	for _, n := range pb.Graph().Nodes() {
-		if n.Op == "param" {
-			data, _ := pb.ParamData(n.Ref)
-			if err := mgr.UploadTracked("primary", n.Ref, data); err != nil {
-				log.Fatal(err)
-			}
-		}
+	// Decode on the primary.
+	run := &genie.LLMRunner{Model: model, EP: primary}
+	if _, err := run.InstallModelWeights(); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("installed %d weight objects on primary\n", len(pb.Graph().Params()))
-
-	ep := "primary"
-	step := func(b *genie.Builder, out models.LLMOutputs) int64 {
-		ex := &transport.Exec{Graph: b.Graph(), Keep: map[srg.NodeID]string{}}
-		for _, n := range b.Graph().Nodes() {
-			if n.Op != "input" {
-				continue
-			}
-			if n.Residency == genie.ResidencyStatefulKVCache {
-				ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Key: n.Ref})
-				continue
-			}
-			data, _ := b.InputData(n.Ref)
-			ex.Binds = append(ex.Binds, transport.Binding{Ref: n.Ref, Inline: data})
-		}
-		for i := range out.CacheK {
-			ex.Keep[out.CacheK[i]] = models.CacheRef(i, "k")
-			ex.Keep[out.CacheV[i]] = models.CacheRef(i, "v")
-		}
-		ex.Want = []srg.NodeID{out.NextToken}
-		ok, err := mgr.ExecTracked(context.Background(), ep, ex)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return ok.Results[out.NextToken].I64()[0]
-	}
-
-	b, out := model.BuildPrefill(prompt)
-	next := step(b, out)
-	hist := len(prompt)
-	var tokens []int64
-
-	decode := func() {
-		tokens = append(tokens, next)
-		db, dout := model.BuildDecodeStep(next, hist, hist, emptyCaches(model))
-		next = step(db, dout)
-		hist++
-	}
-
-	decode()
-	decode()
-	decode()
-	fmt.Printf("generated %v, then PRIMARY CRASHES (all resident state lost)\n", tokens)
-	primarySrv.Crash()
-
-	start := time.Now()
-	lost, err := mgr.DetectLost("primary")
+	sess, err := run.NewScopedSession(genie.ModeSemAware, "req1/")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("lineage detected %d lost objects (weights + per-layer caches)\n", len(lost))
-	if err := mgr.Recover(lost, "standby"); err != nil {
+	tok, err := sess.Prefill(prompt)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed provenance onto standby in %v (wall clock, real replay)\n",
-		time.Since(start).Round(time.Millisecond))
+	tokens := []int64{tok}
+	for len(tokens) < 3 {
+		if tok, err = sess.Step(); err != nil {
+			log.Fatal(err)
+		}
+		tokens = append(tokens, tok)
+	}
+	fmt.Printf("generated %v, then PRIMARY CRASHES (all resident state lost)\n", tokens)
+	primarySrv.Crash()
+	if _, err := sess.Step(); err == nil {
+		log.Fatal("a step on the crashed primary succeeded")
+	} else {
+		fmt.Printf("next step on the primary fails: %v\n", err)
+	}
 
-	ep = "standby"
-	decode()
-	decode()
-	decode()
+	// Resume on the standby: weights install from the client's copy, and
+	// one prefill over the token log rebuilds every lost KV row.
+	run = &genie.LLMRunner{Model: model, EP: standby}
+	if _, err := run.InstallModelWeights(); err != nil {
+		log.Fatal(err)
+	}
+	sess, err = run.NewScopedSession(genie.ModeSemAware, "req1/")
+	if err != nil {
+		log.Fatal(err)
+	}
+	tok, err = sess.Prefill(append(append([]int64(nil), prompt...), tokens...))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("resumed on the standby with %d recovery exec (one prefill over %d logged tokens)\n",
+		standbySrv.Stats().ExecCalls, len(prompt)+len(tokens))
+	tokens = append(tokens, tok)
+	for len(tokens) < total {
+		if tok, err = sess.Step(); err != nil {
+			log.Fatal(err)
+		}
+		tokens = append(tokens, tok)
+	}
 	fmt.Printf("resumed generation: %v\n", tokens)
 
 	// Cross-check against an uninterrupted run.
-	want := referenceRun(prompt, len(tokens))
-	for i := range want {
-		if tokens[i] != want[i] {
-			log.Fatalf("recovered run diverged at %d: %v vs %v", i, tokens, want)
+	ref, err := (&genie.LLMRunner{Model: model}).Generate(genie.ModeLocal, prompt, total)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, want := range ref.Tokens {
+		if tokens[i] != want {
+			log.Fatalf("recovered run diverged at %d: %v vs %v", i, tokens, ref.Tokens)
 		}
 	}
-	fmt.Println("tokens identical to a failure-free run — decode recovered without restarting prefill at the client")
+	fmt.Println("tokens identical to a failure-free run — the KV was rebuilt from the token log, not replayed step by step")
 }
 
 func startServer() (*genie.Server, *genie.Client) {
@@ -131,46 +103,4 @@ func startServer() (*genie.Server, *genie.Client) {
 		log.Fatal(err)
 	}
 	return srv, client
-}
-
-func emptyCaches(m *genie.GPT) []*nn.KVCache {
-	caches := make([]*nn.KVCache, m.Cfg.Layers)
-	for i := range caches {
-		caches[i] = &nn.KVCache{}
-	}
-	return caches
-}
-
-func referenceRun(prompt []int64, steps int) []int64 {
-	srv := genie.NewServer(genie.A100)
-	_ = srv
-	rng := rand.New(rand.NewSource(2026))
-	model := genie.NewGPTModel(rng, genie.TinyGPT)
-	b, out := model.BuildPrefill(prompt)
-	vals, err := genie.ExecuteLocal(b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	caches := emptyCaches(model)
-	for i := range out.CacheK {
-		caches[i].Append(vals[out.CacheK[i]], vals[out.CacheV[i]])
-	}
-	next := vals[out.NextToken].I64()[0]
-	hist := len(prompt)
-	var tokens []int64
-	for s := 0; s < steps; s++ {
-		tokens = append(tokens, next)
-		db, dout := model.BuildDecodeStep(next, hist, hist, caches)
-		dvals, err := genie.ExecuteLocal(db)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := range caches {
-			caches[i].K = dvals[dout.CacheK[i]]
-			caches[i].V = dvals[dout.CacheV[i]]
-		}
-		next = dvals[dout.NextToken].I64()[0]
-		hist++
-	}
-	return tokens
 }

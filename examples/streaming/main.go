@@ -1,9 +1,7 @@
 // Command streaming demonstrates the production serving surface on top
 // of semantics-aware disaggregation: tokens stream to the caller as each
-// remote decode step completes, the context cancels generation
-// mid-stream, and the lineage manager keeps the remote KV cache
-// recoverable the whole time. Everything runs against a real TCP
-// backend.
+// remote decode step completes, and the context cancels generation
+// mid-stream. Everything runs against a real TCP backend.
 package main
 
 import (

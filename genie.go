@@ -26,7 +26,7 @@
 //
 // See the examples/ directory for runnable end-to-end scenarios
 // (LLM serving under four disaggregation modes, pipelined CNN inference,
-// recommendation-model tiering, lineage-based failure recovery, and
+// recommendation-model tiering, failure recovery by resume, and
 // multi-tenant global scheduling).
 package genie
 
@@ -42,7 +42,6 @@ import (
 	"genie/internal/frontend"
 	"genie/internal/global"
 	"genie/internal/lazy"
-	"genie/internal/lineage"
 	"genie/internal/models"
 	"genie/internal/runtime"
 	"genie/internal/scheduler"
@@ -333,13 +332,6 @@ var (
 )
 
 // --- fault tolerance & global scheduling ---
-
-// LineageManager tracks remote-object provenance and replays lost
-// chains after failures (§3.5).
-type LineageManager = lineage.Manager
-
-// NewLineageManager creates an empty manager.
-func NewLineageManager() *LineageManager { return lineage.NewManager() }
 
 // Coordinator is the semantics-aware global scheduler (§3.6).
 type Coordinator = global.Coordinator

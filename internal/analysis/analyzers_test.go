@@ -124,7 +124,7 @@ func TestScopeGates(t *testing.T) {
 	if !CtxflowAnalyzer.AppliesTo("genie/internal/chaos") {
 		t.Error("ctxflow must apply to the fault injector")
 	}
-	if !RetrynakedAnalyzer.AppliesTo("genie/internal/lineage") {
+	if !RetrynakedAnalyzer.AppliesTo("genie/internal/pool") {
 		t.Error("retrynaked must apply to internal packages")
 	}
 	if RetrynakedAnalyzer.AppliesTo("genie/cmd/genie-bench") {

@@ -9,7 +9,7 @@ import (
 // ErrcheckAnalyzer flags call statements that discard an error result.
 // In a disaggregated runtime almost every error is a lifecycle event —
 // a lost connection, a rejected session, a stale residency epoch — and
-// dropping one on the floor is how lineage goes incomplete: the local
+// dropping one on the floor is how recovery goes wrong: the local
 // view of remote state diverges from the real thing and the divergence
 // surfaces much later as a wrong answer instead of an error.
 //

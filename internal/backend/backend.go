@@ -5,7 +5,8 @@
 //
 // The same Server runs in-process (tests, examples) or behind TCP
 // (cmd/genie-server). Failure injection (Crash) drops all resident state
-// and advances the epoch so lineage recovery (§3.5) can be exercised.
+// and advances the epoch so recovery (§3.5: a session resumes by
+// re-prefilling its token log) can be exercised.
 package backend
 
 import (

@@ -141,7 +141,7 @@ func TestExecStaleEpochBindingFails(t *testing.T) {
 	// Rebind the graph's "x" leaf to the pre-crash epoch of the cache.
 	x.Binds = []transport.Binding{{Ref: "x", Key: "cache", Epoch: ack.Epoch}}
 	// Binding an evicted/stale object must fail loudly, not silently
-	// recompute — lineage decides what to do.
+	// recompute — the session decides how to rebuild it.
 	if _, err := s.Exec(x); err == nil {
 		t.Error("stale binding should fail")
 	}

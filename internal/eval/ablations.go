@@ -152,33 +152,28 @@ func AblationRecompute(spec device.Spec, link cluster.Link, rpc scheduler.RPCPro
 	return out
 }
 
-// --- A5: lineage recovery vs full restart (§3.5) ---
+// --- A5: resume recovery vs full restart (§3.5) ---
 
-// LineageCostPoint compares recovering a decode loop at a given depth via
-// lineage replay against restarting the whole session (weights + prefill
-// + decode replay from scratch including re-upload).
+// LineageCostPoint compares recovering a decode loop at a given depth by
+// resuming from its token log against restarting the whole session
+// (weights re-shipped through the transport first).
 type LineageCostPoint struct {
 	Depth       int
 	ReplayCost  time.Duration
 	FullRestart time.Duration
 }
 
-// AblationLineageRecovery models recovery cost at paper scale: replay
-// re-executes prefill + depth decode kernels on a standby that already
-// holds weights; full restart re-ships weights through the transport
-// first.
+// AblationLineageRecovery models recovery cost at paper scale. Resume
+// is one prefill kernel over the token log — prompt ‖ depth emitted
+// tokens — on a standby that already holds the weights: decode KV is
+// the prefill KV of the longer prompt, so no step is replayed. Full
+// restart re-ships the weights first.
 func AblationLineageRecovery(cfg LLMSimConfig, depths []int) []LineageCostPoint {
 	m := cfg.Model
-	T := cfg.PromptLen
 	var out []LineageCostPoint
 	for _, d := range depths {
-		// Replay: prefill kernel + d decode kernels (weights already
-		// resident on the standby pool).
-		replay := cfg.Device.KernelTime(m.PrefillFLOPs(T), m.WeightBytes()+m.KVBytes(T))
-		for s := 0; s < d; s++ {
-			replay += cfg.Device.KernelTime(m.DecodeFLOPs(T+s), m.DecodeBytesTouched(T+s))
-		}
-		// Full restart: weight shipment + the same compute.
+		n := cfg.PromptLen + d
+		replay := cfg.Device.KernelTime(m.PrefillFLOPs(n), m.WeightBytes()+m.KVBytes(n))
 		t := newTimeline(cfg)
 		t.call(m.WeightBytes(), 0, 0, 0)
 		restart := t.now + replay

@@ -1,8 +1,9 @@
 // Package exec interprets SRG nodes against concrete tensors. It is the
 // kernel dispatcher shared by every execution site: the client's local
-// device, the remote backend server, and the lineage replayer all run the
-// same interpreter, which is what makes SRG subgraphs replayable anywhere
-// (§3.5's determinism requirement).
+// device and the remote backend server run the same interpreter, which
+// is what makes an SRG subgraph recomputable anywhere (§3.5's
+// determinism requirement: a session resumed on another backend rebuilds
+// bit-identical state).
 package exec
 
 import (
@@ -291,8 +292,8 @@ type Binder func(op, ref string) (*tensor.Tensor, error)
 
 // Graph evaluates an entire SRG in topological order, binding leaves via
 // bind, and returns every node's value. It is the reference evaluator
-// used by tests and the lineage replayer; production paths execute plans
-// node by node so they can interleave transfers.
+// behind local execution (runtime.RunLocal) and tests; production paths
+// execute plans node by node so they can interleave transfers.
 func Graph(g *srg.Graph, bind Binder) (map[srg.NodeID]*tensor.Tensor, error) {
 	vals := make(map[srg.NodeID]*tensor.Tensor, g.Len())
 	for _, id := range g.TopoOrder() {

@@ -30,8 +30,8 @@
 //	Reinstating ──(any counted failure)──▶ Quarantined
 //
 // Suspect demotes (the lane admits work only when healthy lanes are
-// saturated); Quarantined drains (active requests re-queue through the
-// existing lineage-failover path, so no state is lost); Reinstating
+// saturated); Quarantined drains (active requests re-queue and resume
+// from their token log on another lane, so no state is lost); Reinstating
 // trickles one trial request at a time. Quarantine covers both causes:
 // calls that *fail* (a Trip) and calls that *succeed too slowly* to be
 // worth issuing, while probes keep measuring the endpoint.

@@ -73,9 +73,9 @@ type PrefillLane struct {
 // suffix between them. To the session core it is a placement
 // (runtime.Placement): prefill hops go to the lane pool and are followed
 // by the handoff, decode hops go to Decode, where the session's scoped
-// keys live. A failed prefill is repaired by the runner's Failover
-// (sp.Runner().Failover — lineage failover of a tracked lane onto a
-// spare) like any other hop.
+// keys live. Its routes carry no Repair: a failed prefill surfaces to
+// the caller (the serving engine re-queues the request elsewhere), and a
+// hedged prefill already covers a slow lane.
 type Split struct {
 	cfg          SplitConfig
 	deltaBytes   *obs.Counter
@@ -130,8 +130,6 @@ func (sp *Split) HedgeWins() int64      { return sp.hedgeWins.Value() }
 func (sp *Split) HedgeCancelled() int64 { return sp.hedgeCancels.Value() }
 
 // InstallWeights provisions both endpoints with the model weights.
-// Callers routing the prefill endpoint through a lineage.TrackedEndpoint
-// get replayable provenance for free.
 func (sp *Split) InstallWeights() error {
 	eps := []runtime.Endpoint{sp.cfg.Decode}
 	if sp.cfg.Prefill != nil {

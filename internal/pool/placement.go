@@ -2,6 +2,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,16 +23,21 @@ func (m *Manager) Runner() *runtime.LLMRunner {
 // placement is the pool as the session core sees it
 // (runtime.Placement): each forward pass walks the shard plan hop by
 // hop, shipping the boundary activation to the next member and keeping
-// each layer's KV resident (and lineage-tracked) on the layer's owner.
+// each layer's KV resident on the layer's owner.
 type placement struct{ m *Manager }
 
+// errNotResident fails a hop that would bind a KV key its member does
+// not hold — the key's owner departed, or the plan moved the layer —
+// before any RPC. Nothing is wrong with the member: the session only has
+// to rebuild its KV there.
+var errNotResident = errors.New("pool: KV not resident on the hop's member")
+
 // Route cuts the hop at the end of the contiguous run that owns layer lo
-// under the current plan snapshot. Its Failover is the pool's loss
-// path: the failed member is evicted and its shards re-placed, and the
-// core routes the same layer again against the repaired plan. Earlier
-// hops already appended this step's KV rows on their (surviving)
-// members, and the failed exec was never recorded, so lineage replay
-// re-homes exactly the pre-failure state. Any exec error counts — a
+// under the current plan snapshot. Its Repair is the pool's loss path:
+// the failed member is evicted and its shards re-placed, and the session
+// core restarts the pass against the repaired plan, rebuilding its KV
+// from its token log first. A hop that failed only because its KV is
+// not resident there needs no eviction. Any other exec error counts — a
 // member's conn is not redialled, so a failed or cancelled round trip
 // has lost it.
 func (p placement) Route(_ bool, lo int) (runtime.Route, error) {
@@ -44,34 +50,33 @@ func (p placement) Route(_ bool, lo int) (runtime.Route, error) {
 	return runtime.Route{
 		Hi: seg.Hi,
 		EP: &segmentExec{m: p.m, seg: seg, last: seg.Hi == len(plan.Owners)},
-		Failover: &runtime.Failover{
-			Rebind:     func(error) error { return p.m.reportExecFailure(name, seen) },
-			MaxRebinds: segmentRetries,
-			Rebindable: func(error) bool { return true },
+		Repair: func(err error) error {
+			if errors.Is(err, errNotResident) {
+				return nil
+			}
+			return p.m.reportExecFailure(name, seen)
 		},
 	}, nil
 }
 
 // Free releases a session's scoped KV key on whichever member holds it
-// and drops its lineage, so departures never resurrect state the
-// session already released.
+// and drops it from the index.
 func (p placement) Free(key string) error {
-	home, ok := p.m.lin.HomeOf(key)
-	if !ok {
+	m := p.m
+	m.mu.Lock()
+	r, ok := m.resident[key]
+	delete(m.resident, key)
+	mem := m.members[r.member]
+	m.mu.Unlock()
+	if !ok || mem == nil {
 		return nil
 	}
-	var err error
-	if ep, live := p.m.lin.Endpoint(home); live {
-		err = ep.Free(key)
-	}
-	p.m.lin.Forget(key)
-	return err
+	return mem.ep.Free(key)
 }
 
-// segmentExec dispatches one hop to the member that owns its layers,
-// through the member's tracked endpoint, so binding epochs are corrected
-// from lineage (which is what lets a hop re-issue cleanly right after
-// its cache migrated to a new owner) and provenance is recorded.
+// segmentExec dispatches one hop to the member that owns its layers.
+// Each KV bind carries the epoch the index recorded for its key, and
+// each kept output is indexed on that member with the reply's epoch.
 type segmentExec struct {
 	m    *Manager
 	seg  Shard
@@ -86,16 +91,33 @@ func (e *segmentExec) ExecCtx(ctx context.Context, x *transport.Exec) (*transpor
 	m, name := e.m, e.seg.Member
 	m.mu.Lock()
 	mem := m.members[name]
+	gone := mem == nil || mem.departed
+	missing := ""
+	for i := range x.Binds {
+		b := &x.Binds[i]
+		if b.Key == "" {
+			continue
+		}
+		r, ok := m.resident[b.Key]
+		if !ok || r.member != name {
+			missing = b.Key
+			break
+		}
+		b.Epoch = r.epoch
+	}
 	m.mu.Unlock()
-	if mem == nil {
+	if gone {
 		return nil, fmt.Errorf("pool: member %q departed", name)
+	}
+	if missing != "" {
+		return nil, fmt.Errorf("pool: segment [%d,%d) on %q binds %q: %w", e.seg.Lo, e.seg.Hi, name, missing, errNotResident)
 	}
 	_, span := obs.StartSpan(ctx, "pool.segment")
 	span.SetAttr("member", name)
 	span.SetAttrInt("lo", int64(e.seg.Lo))
 	span.SetAttrInt("hi", int64(e.seg.Hi))
 	t0 := time.Now()
-	ok, err := mem.te.ExecCtx(ctx, x)
+	ok, err := runtime.ExecEP(ctx, mem.ep, x)
 	span.End()
 	if m.cfg.Health != nil {
 		m.cfg.Health.Endpoint(name).Observe(time.Since(t0), err != nil)
@@ -103,6 +125,14 @@ func (e *segmentExec) ExecCtx(ctx context.Context, x *transport.Exec) (*transpor
 	if err != nil {
 		return nil, fmt.Errorf("pool: segment [%d,%d) on %q: %w", e.seg.Lo, e.seg.Hi, name, err)
 	}
+	m.mu.Lock()
+	if !mem.departed {
+		// An eviction that began meanwhile already purged this member.
+		for _, key := range x.Keep {
+			m.resident[key] = residence{member: name, epoch: ok.Epoch}
+		}
+	}
+	m.mu.Unlock()
 	m.segExecs.Inc()
 	if !e.last {
 		// Everything a non-final shard returns is the boundary activation.

@@ -12,13 +12,14 @@
 //     transfer costs — the generalization of scheduler.shardByMemory's
 //     per-op seed to a pool-wide, strategy-selectable plan.
 //   - Manager (pool.go): elastic membership. Backends Join and Leave at
-//     runtime; the manager rebuilds the plan, installs/migrates shard
-//     weights, and reuses lineage provenance (TrackedEndpoint.Failover)
-//     to re-home a departed member's state without ever reading from it.
-//   - session (session.go): end-to-end sharded execution behind the
-//     runtime.Session prefill/step API, inserting cross-backend
-//     activation and ΔKV transfers at shard boundaries, so the serving
-//     engine batches over sharded sessions unchanged.
+//     runtime; the manager rebuilds the plan and installs or re-installs
+//     shard weights from its own copy, never reading from a departed
+//     member. Session KV never migrates: a session that lost its KV
+//     rebuilds it with one prefill over its token log.
+//   - placement (placement.go): end-to-end sharded execution behind the
+//     runtime.Session prefill/step API — each hop runs on the member
+//     owning its layers and ships the boundary activation to the next —
+//     so the serving engine batches over sharded sessions unchanged.
 package pool
 
 import (

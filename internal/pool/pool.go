@@ -1,23 +1,19 @@
 package pool
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"genie/internal/cluster"
 	"genie/internal/device"
 	"genie/internal/health"
-	"genie/internal/lineage"
 	"genie/internal/models"
 	"genie/internal/obs"
 	"genie/internal/runtime"
 	"genie/internal/tensor"
-	"genie/internal/transport"
 )
 
 // Config parameterizes a pool manager.
@@ -38,73 +34,29 @@ type Config struct {
 	Health *health.Set
 	// RebalanceOnJoin re-places shards when a member joins, instead of
 	// keeping the newcomer as a hot spare. Re-placement only happens
-	// while no session KV state is tracked (weight moves are provenance
-	// re-uploads and always safe; splitting a live session's fused exec
-	// records across members is not).
+	// while no session KV state is resident (weights re-install from the
+	// pool's copy and are always safe to move; a live session would have
+	// to rebuild its KV).
 	RebalanceOnJoin bool
 }
-
-// segmentRetries bounds the shard repairs one hop may trigger before its
-// error surfaces to the session's caller.
-const segmentRetries = 2
 
 // member is one live backend in the pool.
 type member struct {
 	name string
-	gate *gateEndpoint
-	te   *lineage.TrackedEndpoint
+	ep   runtime.Endpoint
 	spec device.Spec
 	link cluster.Link
+	// departed closes the member to new segment execs the moment its
+	// eviction starts, voluntary or crashed alike: nothing it held is
+	// ever read back. Guarded by Manager.mu.
+	departed bool
 }
 
-// gateEndpoint fronts a member's raw endpoint with a departure gate:
-// once closed, every call fails fast, so lineage's DetectLost sees a
-// departed member — voluntary or crashed — identically (everything it
-// held is lost and must be replayed from provenance, never read back).
-type gateEndpoint struct {
-	ep     runtime.Endpoint
-	closed atomic.Bool
-}
-
-func (g *gateEndpoint) err() error { return fmt.Errorf("pool: member departed") }
-
-func (g *gateEndpoint) Upload(key string, data *tensor.Tensor) (*transport.UploadOK, error) {
-	if g.closed.Load() {
-		return nil, g.err()
-	}
-	return g.ep.Upload(key, data)
-}
-
-func (g *gateEndpoint) Exec(x *transport.Exec) (*transport.ExecOK, error) {
-	return g.ExecCtx(nil, x)
-}
-
-func (g *gateEndpoint) ExecCtx(ctx context.Context, x *transport.Exec) (*transport.ExecOK, error) {
-	if g.closed.Load() {
-		return nil, g.err()
-	}
-	return runtime.ExecEP(ctx, g.ep, x)
-}
-
-func (g *gateEndpoint) Fetch(key string, epoch uint32) (*tensor.Tensor, error) {
-	if g.closed.Load() {
-		return nil, g.err()
-	}
-	return g.ep.Fetch(key, epoch)
-}
-
-func (g *gateEndpoint) Free(key string) error {
-	if g.closed.Load() {
-		return g.err()
-	}
-	return g.ep.Free(key)
-}
-
-func (g *gateEndpoint) Stats() (*transport.Stats, error) {
-	if g.closed.Load() {
-		return nil, g.err()
-	}
-	return g.ep.Stats()
+// residence is where one resident key lives: the member holding it and
+// the store epoch it was written in.
+type residence struct {
+	member string
+	epoch  uint32
 }
 
 // paramEntry is one model weight with its placement unit.
@@ -114,19 +66,19 @@ type paramEntry struct {
 	unit int
 }
 
-// Manager owns the pool: membership, the active shard plan, weight
-// placement, and state migration on departure. It is safe for
-// concurrent use by many sessions.
+// Manager owns the pool: membership, the active shard plan and weight
+// placement. It is safe for concurrent use by many sessions. Session KV
+// never migrates: when a plan change or a loss leaves a session's KV
+// behind, the session rebuilds it (runtime.Session resumes from its
+// token log).
 type Manager struct {
 	cfg     Config
-	lin     *lineage.Manager
-	cs      *cluster.State
 	weights []paramEntry
 
 	// sem serializes membership changes and plan rebuilds. It is a
 	// channel, not a mutex, because the critical section spans RPCs
-	// (weight installs, lineage replays) — exactly what short-lock
-	// discipline forbids under a mutex.
+	// (weight installs) — exactly what short-lock discipline forbids
+	// under a mutex.
 	sem chan struct{}
 
 	// mu guards the maps and plan pointer only; never held across RPC.
@@ -136,6 +88,10 @@ type Manager struct {
 	plan    *ShardPlan
 	planErr error
 	version int64
+	// resident indexes every key a member holds — weights on Upload,
+	// session KV on each segment reply's Keep — so binds carry the
+	// epoch their key was written in and Free finds its home.
+	resident map[string]residence
 
 	membersG   *obs.Gauge
 	shardsG    *obs.Gauge
@@ -155,12 +111,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	m := &Manager{
-		cfg:     cfg,
-		lin:     lineage.NewManager(),
-		cs:      cluster.NewState(),
-		sem:     make(chan struct{}, 1),
-		members: make(map[string]*member),
-		planErr: fmt.Errorf("pool: no members"),
+		cfg:      cfg,
+		sem:      make(chan struct{}, 1),
+		members:  make(map[string]*member),
+		planErr:  fmt.Errorf("pool: no members"),
+		resident: make(map[string]residence),
 		membersG: cfg.Metrics.Gauge("genie_pool_members",
 			"live pool members"),
 		shardsG: cfg.Metrics.Gauge("genie_pool_shards",
@@ -168,7 +123,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		rebuilds: cfg.Metrics.Counter("genie_pool_rebuilds_total",
 			"shard plan rebuilds (join, leave, repair)"),
 		migrated: cfg.Metrics.Counter("genie_pool_migrated_keys_total",
-			"resident keys re-homed by lineage replay"),
+			"weights re-installed on a new owner"),
 		crossBytes: cfg.Metrics.Counter("genie_pool_cross_shard_bytes_total",
 			"activation bytes moved across shard boundaries"),
 		segExecs: cfg.Metrics.Counter("genie_pool_segment_execs_total",
@@ -245,28 +200,11 @@ func (m *Manager) Join(name string, ep runtime.Endpoint, spec device.Spec, link 
 		return fmt.Errorf("pool: duplicate member %q", name)
 	}
 	havePlan := m.plan != nil
-	m.mu.Unlock()
-
-	gate := &gateEndpoint{ep: ep}
-	m.lin.RegisterEndpoint(name, gate)
-	te, err := m.lin.TrackedEndpoint(name)
-	if err != nil {
-		return err
-	}
-	// A prior incarnation of the same name may have left residue in the
-	// cluster view; membership-aware removal clears it so re-join works.
-	m.cs.Remove(cluster.AcceleratorID(name))
-	if err := m.cs.AddAccelerator(&cluster.Accelerator{
-		ID: cluster.AcceleratorID(name), Spec: spec, Link: link,
-	}); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.members[name] = &member{name: name, gate: gate, te: te, spec: spec, link: link}
+	m.members[name] = &member{name: name, ep: ep, spec: spec, link: link}
 	m.order = append(m.order, name)
 	m.mu.Unlock()
 
-	if havePlan && (!m.cfg.RebalanceOnJoin || m.hasTrackedKV()) {
+	if havePlan && (!m.cfg.RebalanceOnJoin || m.hasResidentKV()) {
 		// The current plan stands; the newcomer is a hot spare (and a
 		// failover target). With RebalanceOnJoin, re-placement happens
 		// only while no session state is in flight.
@@ -277,8 +215,9 @@ func (m *Manager) Join(name string, ep runtime.Endpoint, spec device.Spec, link 
 }
 
 // Leave removes a member voluntarily: its shards re-place onto
-// survivors and its state migrates by lineage replay — the departing
-// backend is never read, so Leave and a crash share one code path.
+// survivors and their weights re-install there from the pool's copy —
+// the departing backend is never read, so Leave and a crash share one
+// code path.
 func (m *Manager) Leave(name string) error {
 	m.lockRebuild()
 	defer m.unlockRebuild()
@@ -308,9 +247,11 @@ func (m *Manager) reportExecFailure(name string, seen int64) error {
 	return m.evict(name)
 }
 
-// hasTrackedKV reports whether any session KV state is tracked.
-func (m *Manager) hasTrackedKV() bool {
-	for _, key := range m.lin.Tracked() {
+// hasResidentKV reports whether any session KV state is resident.
+func (m *Manager) hasResidentKV() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key := range m.resident {
 		if layerOfKey(key) >= 0 {
 			return true
 		}
@@ -353,12 +294,10 @@ func (m *Manager) rebuild() error {
 		m.swapPlan(nil, err, ver)
 		return nil
 	}
-	moved, err := m.reconcile(plan)
-	if err != nil {
+	if err := m.reconcile(plan); err != nil {
 		m.swapPlan(nil, fmt.Errorf("pool: reconcile: %w", err), ver)
 		return err
 	}
-	m.migrated.Add(moved)
 	m.swapPlan(plan, nil, ver)
 	m.rebuilds.Inc()
 	return nil
@@ -371,103 +310,93 @@ func (m *Manager) swapPlan(p *ShardPlan, err error, ver int64) {
 	m.refreshGauges()
 }
 
-// reconcile drives resident state to the plan: weights upload to their
-// owners (first install) or re-home by lineage replay (placement
-// changed), as do any tracked session KV keys. Returns keys moved.
-func (m *Manager) reconcile(plan *ShardPlan) (int64, error) {
-	uploads := map[string][]paramEntry{}
-	moves := map[string][]string{}
-	prevHome := map[string]string{}
+// reconcile drives resident state to the plan. Every weight not yet on
+// its owner installs there from the pool's copy, and a moved weight's
+// old copy is freed. Session KV left on a member that no longer owns its
+// layer is dropped: its session rebuilds it on the next pass.
+func (m *Manager) reconcile(plan *ShardPlan) error {
 	for _, pe := range m.weights {
 		owner := plan.Owners[pe.unit]
-		home, tracked := m.lin.HomeOf(pe.ref)
-		switch {
-		case !tracked:
-			uploads[owner] = append(uploads[owner], pe)
-		case home != owner:
-			moves[owner] = append(moves[owner], pe.ref)
-			prevHome[pe.ref] = home
-		}
-	}
-	for _, key := range m.lin.Tracked() {
-		l := layerOfKey(key)
-		if l < 0 {
+		m.mu.Lock()
+		prev, placed := m.resident[pe.ref]
+		m.mu.Unlock()
+		if placed && prev.member == owner {
 			continue
 		}
-		owner := plan.Owners[l]
-		if home, ok := m.lin.HomeOf(key); ok && home != owner {
-			moves[owner] = append(moves[owner], key)
+		if err := m.install(owner, pe); err != nil {
+			return err
+		}
+		if placed {
+			m.migrated.Inc()
+			m.release(prev.member, pe.ref)
 		}
 	}
-	for _, owner := range sortedKeys(uploads) {
-		for _, pe := range uploads[owner] {
-			if err := m.lin.UploadTracked(owner, pe.ref, pe.data); err != nil {
-				return 0, fmt.Errorf("install %q on %q: %w", pe.ref, owner, err)
-			}
-			m.cs.SetResident(pe.ref, cluster.AcceleratorID(owner), int64(pe.data.NumBytes()))
+	m.mu.Lock()
+	stale := map[string]string{}
+	for key, r := range m.resident {
+		if l := layerOfKey(key); l >= 0 && plan.Owners[l] != r.member {
+			stale[key] = r.member
+			delete(m.resident, key)
 		}
 	}
-	var moved int64
-	for _, owner := range sortedKeys(moves) {
-		if err := m.lin.Recover(moves[owner], owner); err != nil {
-			return moved, fmt.Errorf("migrate to %q: %w", owner, err)
-		}
-		moved += int64(len(moves[owner]))
-		for _, key := range moves[owner] {
-			if prev, ok := prevHome[key]; ok {
-				m.freeStale(prev, key, cluster.AcceleratorID(owner))
-			}
-		}
+	m.mu.Unlock()
+	for key, home := range stale {
+		m.release(home, key)
 	}
-	return moved, nil
+	return nil
 }
 
-// freeStale best-effort releases a re-homed weight's old copy and
-// updates the cluster residency view.
-func (m *Manager) freeStale(prev, key string, owner cluster.AcceleratorID) {
-	var bytes int64
-	for _, pe := range m.weights {
-		if pe.ref == key {
-			bytes = int64(pe.data.NumBytes())
-			break
-		}
+// install uploads one weight onto member name and indexes it there.
+// Caller holds the rebuild lock, so the member cannot depart meanwhile.
+func (m *Manager) install(name string, pe paramEntry) error {
+	m.mu.Lock()
+	mem := m.members[name]
+	m.mu.Unlock()
+	ack, err := mem.ep.Upload(pe.ref, pe.data)
+	if err != nil {
+		return fmt.Errorf("install %q on %q: %w", pe.ref, name, err)
 	}
-	m.cs.EvictResident(key, bytes)
-	m.cs.SetResident(key, owner, bytes)
-	if ep, ok := m.lin.Endpoint(prev); ok {
-		_ = ep.Free(key) // departed members error here; that's fine
+	m.mu.Lock()
+	m.resident[pe.ref] = residence{member: name, epoch: ack.Epoch}
+	m.mu.Unlock()
+	return nil
+}
+
+// release best-effort frees key on member name, if it is still present.
+func (m *Manager) release(name, key string) {
+	m.mu.Lock()
+	mem := m.members[name]
+	m.mu.Unlock()
+	if mem != nil {
+		_ = mem.ep.Free(key) // a crashed member errors here; that's fine
 	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// evict removes a member (voluntary Leave or session-reported crash):
-// its gate closes so lineage sees everything it held as lost, its
+// evict removes a member (voluntary Leave or session-reported crash).
+// It closes to new execs, everything it held leaves the index, and its
 // shards re-place onto survivors — wholesale onto one successor when
-// one fits (TrackedEndpoint.Failover migrates the provenance), else
-// run-by-run — and the plan swaps. Caller holds the rebuild lock.
+// one fits, else run by run — with their weights re-installed from the
+// pool's copy; then the plan swaps. Sessions that kept KV there rebuild
+// it themselves. Caller holds the rebuild lock.
 func (m *Manager) evict(name string) error {
 	m.mu.Lock()
 	mem := m.members[name]
 	old := m.plan
 	ver := m.version + 1
+	if mem != nil {
+		mem.departed = true
+		for key, r := range m.resident {
+			if r.member == name {
+				delete(m.resident, key)
+			}
+		}
+	}
 	m.mu.Unlock()
 	if mem == nil {
 		return nil
 	}
-	mem.gate.closed.Store(true)
-	m.cs.MarkFailed(cluster.AcceleratorID(name))
 
-	// drop removes the member from membership and the cluster view. The
-	// lineage registration stays (there is no unregister): DetectLost
-	// still probes the closed gate, which reports everything lost.
+	// drop removes the member from membership.
 	dropped := false
 	drop := func() {
 		if dropped {
@@ -483,7 +412,6 @@ func (m *Manager) evict(name string) error {
 			}
 		}
 		m.mu.Unlock()
-		m.cs.Remove(cluster.AcceleratorID(name))
 		m.refreshGauges()
 	}
 	defer drop()
@@ -505,70 +433,46 @@ func (m *Manager) evict(name string) error {
 	}
 
 	// Re-place the departed member's contiguous runs; survivors keep
-	// their shards untouched, so every fused exec record (whose kept
-	// keys span one run) stays intact and migrates as a unit.
+	// their shards untouched.
 	owners := append([]string(nil), old.Owners...)
 	free := map[string]int64{}
 	for _, c := range survivors {
 		free[c.Name] = c.Spec.MemBytes - old.Weights[c.Name]
 	}
-	var runs []Shard
-	for _, sh := range old.Shards() {
-		if sh.Member == name {
-			sh.WeightBytes = m.runWeight(sh)
-			runs = append(runs, sh)
+	// Wholesale first: one successor with room for everything takes
+	// every run.
+	whole := pickFit(survivors, free, old.Weights[name])
+	for _, r := range old.Shards() {
+		if r.Member != name {
+			continue
 		}
-	}
-
-	// Wholesale first: one successor with room for everything lets the
-	// departed member's TrackedEndpoint fail over in a single replay.
-	if succ := pickFit(survivors, free, old.Weights[name]); succ != "" {
-		for _, r := range runs {
-			for i := r.Lo; i < r.Hi; i++ {
-				owners[i] = succ
-			}
-		}
-		n, err := mem.te.Failover(succ)
-		if err != nil {
-			m.swapPlan(nil, fmt.Errorf("pool: failover of %q onto %q: %w", name, succ, err), ver)
-			return err
-		}
-		m.migrated.Add(int64(n))
-		for _, r := range runs {
-			m.rehomeWeights(r, succ)
-		}
-	} else {
-		// Per-run: each run goes to the survivor with the most room that
-		// fits it; its keys (weights + session KV, per lineage's loss
-		// view) replay there together.
-		lost, err := m.lin.DetectLost(name)
-		if err != nil {
-			m.swapPlan(nil, fmt.Errorf("pool: detect loss on %q: %w", name, err), ver)
-			return err
-		}
-		for _, r := range runs {
-			succ := pickFit(survivors, free, r.WeightBytes)
-			if succ == "" {
+		succ := whole
+		if succ == "" {
+			// Per-run: each run goes to the survivor with the most room
+			// that fits it.
+			need := m.runWeight(r)
+			if succ = pickFit(survivors, free, need); succ == "" {
 				m.swapPlan(nil, fmt.Errorf(
 					"pool: no survivor fits layers [%d,%d) of departed %q (%d B)",
-					r.Lo, r.Hi, name, r.WeightBytes), ver)
+					r.Lo, r.Hi, name, need), ver)
 				m.rebuilds.Inc()
 				return nil
 			}
-			free[succ] -= r.WeightBytes
-			for i := r.Lo; i < r.Hi; i++ {
-				owners[i] = succ
+			free[succ] -= need
+		}
+		for i := r.Lo; i < r.Hi; i++ {
+			owners[i] = succ
+		}
+		for _, pe := range m.weights {
+			if pe.unit < r.Lo || pe.unit >= r.Hi {
+				continue
 			}
-			keys := keysInRun(lost, r, len(owners))
-			if len(keys) > 0 {
-				if err := m.lin.Recover(keys, succ); err != nil {
-					m.swapPlan(nil, fmt.Errorf("pool: recover layers [%d,%d) onto %q: %w",
-						r.Lo, r.Hi, succ, err), ver)
-					return err
-				}
-				m.migrated.Add(int64(len(keys)))
+			if err := m.install(succ, pe); err != nil {
+				m.swapPlan(nil, fmt.Errorf("pool: re-place layers [%d,%d) onto %q: %w",
+					r.Lo, r.Hi, succ, err), ver)
+				return err
 			}
-			m.rehomeWeights(r, succ)
+			m.migrated.Inc()
 		}
 	}
 
@@ -577,18 +481,6 @@ func (m *Manager) evict(name string) error {
 	m.swapPlan(pl.finish(old.Strategy, owners, ver), nil, ver)
 	m.rebuilds.Inc()
 	return nil
-}
-
-// rehomeWeights points the cluster residency view at a run's new owner.
-// The departed member's byte accounting is discarded wholesale by
-// cs.Remove in drop; SetResident both re-points the key and charges the
-// successor.
-func (m *Manager) rehomeWeights(r Shard, succ string) {
-	for _, pe := range m.weights {
-		if pe.unit >= r.Lo && pe.unit < r.Hi {
-			m.cs.SetResident(pe.ref, cluster.AcceleratorID(succ), int64(pe.data.NumBytes()))
-		}
-	}
 }
 
 // runWeight sums the weight bytes placed with a run (embed and head
@@ -614,23 +506,6 @@ func pickFit(survivors []Candidate, free map[string]int64, need int64) string {
 		}
 	}
 	return best
-}
-
-// keysInRun filters lost keys to those placed with layers [Lo,Hi):
-// block weights and KV caches by layer, embeddings with layer 0, head
-// weights with the last layer.
-func keysInRun(lost []string, r Shard, layers int) []string {
-	var out []string
-	for _, key := range lost {
-		u := layerOfKey(key)
-		if u < 0 {
-			u = unitOfRef(key, layers-1)
-		}
-		if u >= r.Lo && u < r.Hi {
-			out = append(out, key)
-		}
-	}
-	return out
 }
 
 func ownerIn(owners []string, name string) bool {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 
 	"genie/internal/backend"
@@ -297,51 +298,126 @@ func TestLeaveMidDecodeParity(t *testing.T) {
 	}
 	st := mgr.Status()
 	if st.MigratedKeys == 0 {
-		t.Error("leave migrated no keys (weights + KV should replay)")
+		t.Error("leave re-installed no weights")
 	}
 	if st.Rebuilds == 0 {
 		t.Error("no rebuild counted")
+	}
+	// The session rebuilt its KV on the spare because it was not
+	// resident there, not because the spare failed.
+	if st.MemberFailures != 0 || len(st.Members) != 2 {
+		t.Errorf("member failures %d, members %d: want 0 and 2 (the spare stays)", st.MemberFailures, len(st.Members))
 	}
 }
 
 // TestCrashMidDecodeRepair: a chaos-injected backend crash surfaces as
 // a segment failure; the session reports it, the pool evicts and
 // re-places onto the spare, and the stream completes bit-identically.
+// Recovery costs one prefill over the token log — one exec per shard —
+// whatever the depth of the crash.
 func TestCrashMidDecodeRepair(t *testing.T) {
+	for _, crashAt := range []int64{3, 6} {
+		t.Run(fmt.Sprintf("exec%d", crashAt), func(t *testing.T) {
+			gpt := testGPT()
+			want := refTokens(t, 6)
+
+			mgr, err := NewManager(Config{Model: gpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := smallSpec(gpt, 2, 3)
+			var members []*poolBackend
+			for _, name := range []string{"m0", "m1", "m2"} {
+				pb := join(t, mgr, name, spec, nil)
+				defer pb.stop()
+				members = append(members, pb)
+			}
+
+			// m0 crashes on its crashAt-th exec: the prefill segment, then
+			// crashAt-2 decode segments, then loss mid-decode.
+			cp := chaos.NewPlan(7, chaos.Config{CrashExecAt: crashAt})
+			members[0].srv.SetExecHook(cp.ExecHook(members[0].srv.Crash))
+
+			got := generate(t, mgr, "req1/", 6)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("tokens across crash %v != reference %v", got, want)
+			}
+			if n := cp.Injected()["crash_exec"]; n != 1 {
+				t.Fatalf("chaos injected %d crashes, want 1", n)
+			}
+			var execs int64
+			for _, pb := range members {
+				execs += pb.srv.Stats().ExecCalls
+			}
+			// A fault-free run is 6 passes × 2 shards; one exec failed.
+			if recovery := execs - 12 - 1; recovery != 2 {
+				t.Errorf("recovery took %d execs, want 2 (one prefill over the token log, one per shard)", recovery)
+			}
+			st := mgr.Status()
+			if st.MemberFailures == 0 {
+				t.Error("no member failure counted")
+			}
+			if len(st.Members) != 2 {
+				t.Errorf("pool still lists %d members, want 2 after eviction", len(st.Members))
+			}
+		})
+	}
+}
+
+// TestLeaveUnderConcurrentSessions: two sessions decode at once while
+// a shard owner leaves under them. Whichever way each session meets
+// the departure — its KV no longer resident, or an exec on the
+// departing member — it rebuilds its KV from its token log and finishes
+// with the reference tokens. (Run under -race: the resident index is
+// read and written by both sessions and by the eviction.)
+func TestLeaveUnderConcurrentSessions(t *testing.T) {
 	gpt := testGPT()
-	want := refTokens(t, 6)
+	want := refTokens(t, 8)
 
 	mgr, err := NewManager(Config{Model: gpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := smallSpec(gpt, 2, 3)
-	b0 := join(t, mgr, "m0", spec, nil)
-	defer b0.stop()
-	b1 := join(t, mgr, "m1", spec, nil)
-	defer b1.stop()
-	b2 := join(t, mgr, "m2", spec, nil)
-	defer b2.stop()
+	for _, name := range []string{"m0", "m1", "m2"} {
+		pb := join(t, mgr, name, spec, nil)
+		defer pb.stop()
+	}
 
-	// m0 crashes on its 3rd exec: prefill segment, one decode segment,
-	// then loss mid-decode.
-	cp := chaos.NewPlan(7, chaos.Config{CrashExecAt: 3})
-	b0.srv.SetExecHook(cp.ExecHook(b0.srv.Crash))
-
-	got := generate(t, mgr, "req1/", 6)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("tokens across crash %v != reference %v", got, want)
+	var wg sync.WaitGroup
+	started := make(chan struct{}, 2)
+	for _, scope := range []string{"a/", "b/"} {
+		wg.Add(1)
+		go func(scope string) {
+			defer wg.Done()
+			s, err := mgr.Runner().NewScopedSessionCtx(context.Background(), runtime.ModeSemAware, scope)
+			if err != nil {
+				t.Error(err)
+				started <- struct{}{}
+				return
+			}
+			defer func() { _ = s.Close() }()
+			tok, err := s.Prefill(testPrompt)
+			got := []int64{tok}
+			started <- struct{}{}
+			for err == nil && len(got) < len(want) {
+				if tok, err = s.Step(); err == nil {
+					got = append(got, tok)
+				}
+			}
+			if err != nil {
+				t.Errorf("%s: %v", scope, err)
+			} else if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: tokens %v across the leave, reference %v", scope, got, want)
+			}
+		}(scope)
 	}
-	if n := cp.Injected()["crash_exec"]; n != 1 {
-		t.Fatalf("chaos injected %d crashes, want 1", n)
+	<-started
+	<-started
+	if err := mgr.Leave(mgr.Plan().Owners[0]); err != nil {
+		t.Fatalf("leave: %v", err)
 	}
-	st := mgr.Status()
-	if st.MemberFailures == 0 {
-		t.Error("no member failure counted")
-	}
-	if len(st.Members) != 2 {
-		t.Errorf("pool still lists %d members, want 2 after eviction", len(st.Members))
-	}
+	wg.Wait()
 }
 
 // TestMembershipChurnSoak: joins, leaves, chaos conn kills, and
@@ -455,7 +531,7 @@ func tryGenerate(m *Manager, scope string, steps int) ([]int64, error) {
 }
 
 // TestJoinAfterLeaveSameName: a departed name can re-join with a fresh
-// backend (regression for stale cluster/lineage residue).
+// backend (regression for stale residue of the earlier incarnation).
 func TestJoinAfterLeaveSameName(t *testing.T) {
 	gpt := testGPT()
 	mgr, err := NewManager(Config{Model: gpt})

@@ -81,7 +81,7 @@ func (m *Manager) Status() Status {
 		}
 		m.mu.Lock()
 		if mem := m.members[name]; mem != nil {
-			ms.Healthy = !mem.gate.closed.Load()
+			ms.Healthy = !mem.departed
 		}
 		m.mu.Unlock()
 		if m.cfg.Health != nil {

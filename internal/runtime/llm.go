@@ -42,10 +42,6 @@ type LLMRunner struct {
 	// per-call installation. The serving engine sets this once per
 	// backend so concurrent sessions don't re-upload weights.
 	WeightsResident bool
-	// Failover, when set, recovers sessions from endpoint loss: failed
-	// executions rebind (lineage replay onto a replacement) and reissue.
-	// Nil disables recovery — errors surface to the caller unchanged.
-	Failover *Failover
 
 	// placement and prefix are what the constructor that built the runner
 	// knows and the session core cannot (NewPlacedRunner); nil on a
@@ -74,10 +70,11 @@ type Route struct {
 	Hi int
 	// EP executes it.
 	EP Executor
-	// Failover, when set, repairs this answer after EP fails (the pool
-	// evicts the member and re-plans); the hop is then routed again. Nil
-	// falls back to the runner's Failover.
-	Failover *Failover
+	// Repair, when set, repairs this answer after EP fails with err (the
+	// pool evicts the member and re-plans). A nil return means the pass
+	// may restart from hop 0, the session first rebuilding any state the
+	// failure lost (Session.forward); nil Repair surfaces err unchanged.
+	Repair func(err error) error
 	// Handoff, when set, marks EP as a throwaway prefill site: the hop
 	// keeps nothing there, brings the fresh KV rows home, and Handoff
 	// installs prefix ++ rows under the session's scoped keys on the

@@ -49,11 +49,12 @@ type Session struct {
 	ready bool
 
 	// hist counts the positions whose KV state the session holds,
-	// wherever it lives. The naive replay holds none and keeps the token
-	// log instead.
-	hist    int
-	history []int64
-	tok     [1]int64 // the decode step's one-token input, reused
+	// wherever it lives. log is the token log, prompt ‖ emitted tokens:
+	// the naive replay's every input, and what any other remote session
+	// re-prefills when its state is lost (forward).
+	hist int
+	log  []int64
+	tok  [1]int64 // the decode step's one-token input, reused
 	// epoch is the store epoch of the last hop on the endpoint holding
 	// the session's KV; semantics-aware binds carry it so a backend that
 	// lost state rejects the stale handle.
@@ -262,12 +263,8 @@ func (s *Session) prefill(ctx context.Context, prompt []int64) (int64, error) {
 			return 0, err
 		}
 	}
-	tokens := prompt[hit.Matched:]
-	if s.mode == ModeNaive {
-		s.history = append([]int64(nil), prompt...)
-		tokens = s.history
-	}
-	tok, newK, newV, err := s.forward(ctx, true, tokens, hit.Matched, hit.KV)
+	s.log = append(s.log[:0], prompt...)
+	tok, newK, newV, err := s.forward(ctx, true, prompt[hit.Matched:], hit.Matched, hit.KV)
 	if hit.Commit != nil {
 		// Exactly once on every path: nil rows after a failed pass only
 		// release what Match pinned and gathered.
@@ -294,11 +291,11 @@ func (s *Session) prefill(ctx context.Context, prompt []int64) (int64, error) {
 // step runs one decode iteration on tok and returns the next token.
 func (s *Session) step(ctx context.Context, tok int64) (int64, error) {
 	s.tok[0] = tok
+	s.log = append(s.log[:s.hist], tok)
 	tokens, pos := s.tok[:], s.hist
 	if s.mode == ModeNaive {
-		// Nothing survives between blind calls: replay the whole history.
-		s.history = append(s.history, tok)
-		tokens, pos = s.history, 0
+		// Nothing survives between blind calls: replay the whole log.
+		tokens, pos = s.log, 0
 	}
 	next, _, _, err := s.forward(ctx, false, tokens, pos, nil)
 	if err != nil {
@@ -411,8 +408,8 @@ func (s *Session) buildHop(h hop, rt Route, wantRows bool, tokens []int64, pos i
 		case n.Op != "input":
 		case n.Residency == srg.ResidencyStatefulKVCache && prefix == nil:
 			// Remote cache by handle: the tiny-handle round trip of §4. Only
-			// the semantics-aware wire knows epochs (under a pool, lineage
-			// overwrites them with the owning member's).
+			// the semantics-aware wire knows epochs (under a pool, the
+			// resident index overwrites them with the owning member's).
 			bd := transport.Binding{Ref: n.Ref, Key: s.scope + n.Ref}
 			if aware {
 				bd.Epoch = s.epoch
@@ -473,74 +470,108 @@ func (s *Session) route(prefill bool, lo int) (Route, error) {
 	return Route{Hi: len(s.caches), EP: s.r.EP}, nil
 }
 
+// maxRepairs bounds the repairs one pass may trigger before its error
+// surfaces to the session's caller.
+const maxRepairs = 2
+
+// divergedError reports a resume whose re-prefill over the token log
+// did not reproduce the token the step was about to consume: the
+// rebuilt state is not the state that was lost, so the session stops
+// rather than continue on it.
+type divergedError struct {
+	pos       int
+	got, want int64
+}
+
+func (e *divergedError) Error() string {
+	return fmt.Sprintf("runtime: resume diverged: re-prefill over %d logged tokens gave %d, the log holds %d",
+		e.pos, e.got, e.want)
+}
+
 // forward runs one pass — tokens at absolute position pos, over a
 // gathered prefix when the radix hit — and returns the next token plus,
 // at a prefill whose fresh KV rows are needed client-side, those rows.
 //
-// Remote passes are a sequence of hops. The inner loop is the only place
-// in the session stack that reissues a failed exec: on a rebindable
-// failure the route's Failover (the pool's evict-and-replan) or else the
-// runner's (lineage failover onto a spare) repairs the answer to "who
-// executes this hop", and the same hop is routed and built again — its
-// extent may have moved with the plan. Replay from lineage provenance
-// restores the pre-failure versions, so the reissued hop appends to the
-// same KV state the failed one saw.
-func (s *Session) forward(ctx context.Context, prefill bool, tokens []int64, pos int, prefix []*nn.KVCache) (next int64, newK, newV []*tensor.Tensor, err error) {
+// It is the only place in the session stack that reissues a failed
+// exec. A failed hop whose route carries a Repair is repaired (the
+// pool's evict-and-replan, or nothing to do when the state merely moved)
+// and then the session's remote state may be gone, so the pass restarts
+// from hop 0 against the repaired routes: a prefill simply re-runs; a
+// decode step first resumes — one prefill over the token log rebuilds
+// the KV of every position the step binds, because decode KV is exactly
+// the prefill KV of the longer prompt — and then reissues. This is
+// §3.5's recompute of the cut induced by the lost state: given the
+// weights, the token log is the lineage of the KV.
+func (s *Session) forward(ctx context.Context, prefill bool, tokens []int64, pos int, prefix []*nn.KVCache) (int64, []*tensor.Tensor, []*tensor.Tensor, error) {
 	if s.mode == ModeLocal {
 		return s.forwardLocal(tokens, pos, prefix)
 	}
-	var x *tensor.Tensor // boundary activation, home between hops
-	for at := 0; ; {
-		var (
-			rt  Route
-			h   hop
-			out hopOut
-			ok  *transport.ExecOK
-		)
-		wantRows := false
-		var cause error // the exec failure being repaired
-		for repairs := 0; ; repairs++ {
-			// A repaired retry must not outlive the request: the caller's
-			// deadline is the only thing bounding a churn storm.
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return 0, nil, nil, err
-				}
-			}
-			if rt, err = s.route(prefill, at); err != nil {
-				if repairs > 0 {
-					// The repair left nobody to run the hop (the pool's last
-					// member went). What the caller must classify is the
-					// failure that started it — a lost backend is retryable
-					// elsewhere — so both travel.
-					err = fmt.Errorf("%w (repairing after: %w)", err, cause)
-				}
+	var cause error // the failure the last repair answered
+	for repairs := 0; ; repairs++ {
+		// A repaired retry must not outlive the request: the caller's
+		// deadline is the only thing bounding a churn storm.
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
 				return 0, nil, nil, err
-			}
-			var after int
-			h, after = s.hopAt(at, rt.Hi)
-			wantRows = prefill && (s.r.prefix != nil || rt.Handoff != nil)
-			var ex *transport.Exec
-			ex, out = s.buildHop(h, rt, wantRows, tokens, pos, x, prefix)
-			if ok, err = ExecEP(ctx, rt.EP, ex); err == nil {
-				at = after
-				break
-			}
-			f := rt.Failover
-			if f == nil {
-				f = s.r.Failover
-			}
-			if f == nil || f.Rebind == nil || repairs >= f.maxRebinds() || !f.rebindable(err) {
-				return 0, nil, nil, err
-			}
-			cause = err
-			if rerr := f.Rebind(err); rerr != nil {
-				return 0, nil, nil, fmt.Errorf("runtime: failover after %q: %w", err, rerr)
-			}
-			if f.OnRebind != nil {
-				f.OnRebind(err)
 			}
 		}
+		var (
+			repair func(error) error
+			err    error
+		)
+		if cause != nil && !prefill {
+			// Resume: rebuild the KV of every position the step binds.
+			var tok int64
+			tok, _, _, repair, err = s.pass(ctx, true, s.log[:s.hist], 0, nil)
+			if err == nil && tok != tokens[0] {
+				return 0, nil, nil, &divergedError{pos: s.hist, got: tok, want: tokens[0]}
+			}
+		}
+		if err == nil {
+			var next int64
+			var newK, newV []*tensor.Tensor
+			if next, newK, newV, repair, err = s.pass(ctx, prefill, tokens, pos, prefix); err == nil {
+				return next, newK, newV, nil
+			}
+		}
+		switch {
+		case repair == nil && cause != nil:
+			// The repair left nobody to run the hop (the pool's last
+			// member went). What the caller must classify is the failure
+			// that started it — a lost backend is retryable elsewhere — so
+			// both travel.
+			return 0, nil, nil, fmt.Errorf("%w (repairing after: %w)", err, cause)
+		case repair == nil || repairs == maxRepairs:
+			return 0, nil, nil, err
+		}
+		if rerr := repair(err); rerr != nil {
+			return 0, nil, nil, fmt.Errorf("runtime: repair after %q: %w", err, rerr)
+		}
+		cause = err
+	}
+}
+
+// pass runs one forward pass hop by hop, with no repair. On a failed
+// exec it also returns the failing route's Repair (nil when the route
+// has none, or when routing itself failed).
+func (s *Session) pass(ctx context.Context, prefill bool, tokens []int64, pos int, prefix []*nn.KVCache) (int64, []*tensor.Tensor, []*tensor.Tensor, func(error) error, error) {
+	var (
+		x          *tensor.Tensor // boundary activation, home between hops
+		newK, newV []*tensor.Tensor
+	)
+	for at := 0; ; {
+		rt, err := s.route(prefill, at)
+		if err != nil {
+			return 0, nil, nil, nil, err
+		}
+		h, after := s.hopAt(at, rt.Hi)
+		wantRows := prefill && (s.r.prefix != nil || rt.Handoff != nil)
+		ex, out := s.buildHop(h, rt, wantRows, tokens, pos, x, prefix)
+		ok, err := ExecEP(ctx, rt.EP, ex)
+		if err != nil {
+			return 0, nil, nil, rt.Repair, err
+		}
+		at = after
 		s.gpu += time.Duration(ok.GPUTimeNs)
 		if wantRows {
 			for i := range out.newK {
@@ -555,13 +586,13 @@ func (s *Session) forward(ctx context.Context, prefill bool, tokens []int64, pos
 			// where the session will decode.
 			hok, err := rt.Handoff(ctx, s.scope, prefix, newK, newV)
 			if err != nil {
-				return 0, nil, nil, err
+				return 0, nil, nil, nil, err
 			}
 			s.gpu += time.Duration(hok.GPUTimeNs)
 			s.epoch = hok.Epoch
 		}
 		if h.head {
-			return ok.Results[out.next].I64()[0], newK, newV, nil
+			return ok.Results[out.next].I64()[0], newK, newV, nil, nil
 		}
 		x = ok.Results[out.act]
 	}

@@ -55,9 +55,10 @@ func (sb *servedBackend) stop() {
 }
 
 // TestBackendCrashRequeuesToHealthyLane: a chaos plan crashes backend
-// b0 mid-decode; the in-flight request re-queues (not a 500), completes
-// on b1, and the token stream the client observes is bit-identical to a
-// fault-free run with no index delivered twice.
+// b0 mid-decode; the in-flight request re-queues (not a 500), resumes
+// on b1 with one prefill over prompt ‖ the delivered tokens, and the
+// token stream the client observes is bit-identical to a fault-free run
+// with no index delivered twice.
 func TestBackendCrashRequeuesToHealthyLane(t *testing.T) {
 	snap := metrics.SnapGoroutines()
 	rng := rand.New(rand.NewSource(5))
@@ -128,8 +129,13 @@ func TestBackendCrashRequeuesToHealthyLane(t *testing.T) {
 				i, ar.res.Tokens[i], want[i], ar.res.Tokens, want)
 		}
 	}
+	// Resuming costs b1 one prefill, then only the steps still owed:
+	// nothing the client holds is decoded again.
+	if got := b1.srv.Stats().ExecCalls; got != 3 {
+		t.Errorf("b1 ran %d execs, want 3 (one prefill over prompt ‖ 2 delivered tokens, then 2 steps)", got)
+	}
 	// The stream saw every index exactly once, in order, across the
-	// failover — the replayed prefix was suppressed.
+	// failover.
 	if len(emitted) != 5 {
 		t.Fatalf("client observed %d token events, want 5: %v", len(emitted), emitted)
 	}
@@ -145,7 +151,7 @@ func TestBackendCrashRequeuesToHealthyLane(t *testing.T) {
 			st.Completed, st.Failed, st.Unavailable)
 	}
 	if st.TokensOut != 5 {
-		t.Errorf("tokens_out = %d, want 5 (no double-count across replay)", st.TokensOut)
+		t.Errorf("tokens_out = %d, want 5 (no double-count across the resume)", st.TokensOut)
 	}
 	if bh := st.Backends["b0"]; bh.Healthy || bh.Health != "quarantined" || bh.Requeued != 1 {
 		t.Errorf("b0 health = %+v, want tripped (quarantined) gate with 1 requeue", bh)

@@ -185,11 +185,11 @@ func (l *lane) iterate() bool {
 
 // drainQuarantined hands every active request of a quarantined lane
 // back to the admission queue through the ordinary failover path: the
-// session is closed, lineage replay regenerates the prefix on whichever
-// healthy lane picks the request up, and emit suppresses the tokens the
-// client already holds — no state loss, and no client retry budget
-// burned (quarantine is the engine's decision, not the backend's
-// failure). Reports whether anything was drained.
+// session is closed, and whichever healthy lane picks the request up
+// resumes it with one prefill over prompt ‖ the tokens the client
+// already holds — no state loss, and no client retry budget burned
+// (quarantine is the engine's decision, not the backend's failure).
+// Reports whether anything was drained.
 func (l *lane) drainQuarantined() bool {
 	if len(l.active) == 0 || l.gate.State() != health.Quarantined {
 		return false
@@ -280,8 +280,9 @@ func (l *lane) opCtx(parent context.Context) (context.Context, context.CancelFun
 	return context.WithTimeout(parent, timeout)
 }
 
-// prefill runs a newcomer's prompt phase; it reports whether the
-// request joined the batch (false = already completed or retired).
+// prefill runs a newcomer's prompt phase, or a re-queued request's
+// resume; it reports whether the request joined the batch (false =
+// already completed or retired).
 func (l *lane) prefill(ar *activeReq) bool {
 	// The session carries the request span: decode-step spans parent
 	// under serve.request; the prefill itself nests under serve.prefill.
@@ -295,11 +296,17 @@ func (l *lane) prefill(ar *activeReq) bool {
 		return false
 	}
 	ar.sess = sess
+	// A re-queued request resumes: the tokens its client already holds
+	// extend the prompt, and emission continues after them.
+	prompt := ar.prompt
+	if len(ar.tokens) > 0 {
+		prompt = append(append(make([]int64, 0, len(ar.prompt)+len(ar.tokens)), ar.prompt...), ar.tokens...)
+	}
 	pctx, pspan := obs.StartSpan(ar.tctx, "serve.prefill")
 	pspan.SetAttr("backend", l.name)
 	t0 := l.e.clock.Now()
 	opctx, cancel := l.opCtx(pctx)
-	first, err := sess.PrefillCtx(opctx, ar.prompt)
+	first, err := sess.PrefillCtx(opctx, prompt)
 	cancel()
 	pspan.End()
 	l.record(ar.tctx, l.e.clock.Now().Sub(t0), err)
@@ -403,20 +410,15 @@ func (l *lane) fail(ar *activeReq, err error) {
 	l.requeue(ar)
 }
 
-// requeue hands a backend-loss victim back to the admission queue. Its
-// session restarts from scratch on whichever lane picks it up; the
-// deterministic decode regenerates the same prefix, and emit suppresses
-// tokens the client already received.
+// requeue hands a backend-loss victim back to the admission queue with
+// the tokens already delivered. Whichever lane picks it up resumes it
+// from them (prefill); greedy decoding makes that the same state.
 func (l *lane) requeue(ar *activeReq) {
 	if ar.sess != nil {
 		_ = ar.sess.Close()
 		ar.sess = nil
 	}
 	l.e.noteLeave(ar)
-	if len(ar.tokens) > ar.replayed {
-		ar.replayed = len(ar.tokens)
-	}
-	ar.tokens = nil
 	l.requeues.Add(1)
 	l.e.stats.requeued.Inc()
 	_, ar.qspan = obs.StartSpan(ar.tctx, "serve.queue")
@@ -437,15 +439,10 @@ func (l *lane) retireIfDone(ar *activeReq) bool {
 	return false
 }
 
-// emit records a generated token and invokes the streaming hook —
-// except for the replayed prefix of a re-queued request, whose client
-// already holds those tokens.
+// emit records a generated token and invokes the streaming hook.
 func (l *lane) emit(ar *activeReq, tok int64) {
 	idx := len(ar.tokens)
 	ar.tokens = append(ar.tokens, tok)
-	if idx < ar.replayed {
-		return
-	}
 	l.e.stats.tokensOut.Inc()
 	if ar.onToken != nil {
 		ar.onToken(Token{Index: idx, ID: tok})

@@ -239,10 +239,6 @@ type activeReq struct {
 	// retries counts backend-loss re-queues consumed against the engine's
 	// RetryBudget.
 	retries int
-	// replayed is how many leading tokens were already delivered before a
-	// re-queue; the deterministic regeneration on the new lane re-emits
-	// nothing below this index.
-	replayed int
 
 	// Completion.
 	res  *Result

@@ -145,7 +145,7 @@ func TestApplyDiffRejectsMalformed(t *testing.T) {
 
 // TestFingerprintDoesNotWriteTheGraph fingerprints one graph from two
 // goroutines while a third encodes it: resident plan graphs, the client
-// mirror and lineage provenance all share graphs for a long time. (Run
+// mirror and the session's hop builder share graphs for a long time. (Run
 // under -race; Fingerprint used to blank and restore Name.)
 func TestFingerprintDoesNotWriteTheGraph(t *testing.T) {
 	g := stepGraph(5)

@@ -13,8 +13,8 @@ import (
 )
 
 // The binary encoding is the SRG's wire format: it is what a Genie client
-// ships to a global scheduler (§3.6) and what lineage checkpoints persist
-// (§3.5). Layout (little-endian):
+// ships to a global scheduler (§3.6) and to a backend in every
+// execution. Layout (little-endian):
 //
 //	magic "SRG1" | u16 nameLen | name | u32 nodeCount | nodes… |
 //	u32 edgeAnnCount | edge annotations…

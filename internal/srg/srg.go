@@ -6,13 +6,12 @@
 // operations with a common annotation schema (phase, residency, modality,
 // cost hints) and edges carry data-movement metadata (tensor descriptors,
 // producer-consumer rates, criticality). The graph is pure data — it can be
-// serialized, hashed, diffed, shipped to a global scheduler, and replayed
-// for lineage-based fault tolerance.
+// serialized, hashed, diffed, shipped to a global scheduler, and
+// recomputed anywhere for fault tolerance.
 package srg
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node within one graph. IDs are dense and assigned in
@@ -411,40 +410,6 @@ func (g *Graph) DescendantsOf(roots ...NodeID) map[NodeID]bool {
 		stack = append(stack, consumers[id]...)
 	}
 	return seen
-}
-
-// ReplaySet computes the minimal subgraph that must re-execute to
-// regenerate the data products in lost, given that everything in alive is
-// still materialized (§3.5 lineage): it is the ancestor closure of the
-// lost set, cut at alive frontier nodes.
-func (g *Graph) ReplaySet(lost map[NodeID]bool, alive map[NodeID]bool) []NodeID {
-	need := make(map[NodeID]bool)
-	var visit func(id NodeID)
-	visit = func(id NodeID) {
-		if need[id] {
-			return
-		}
-		// A node that is still materialized and not itself lost cuts the
-		// replay: its value can be read instead of recomputed.
-		if alive[id] && !lost[id] {
-			return
-		}
-		need[id] = true
-		for _, in := range g.Node(id).Inputs {
-			visit(in)
-		}
-	}
-	for id := range lost {
-		if g.Node(id) != nil {
-			visit(id)
-		}
-	}
-	out := make([]NodeID, 0, len(need))
-	for id := range need {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ByPhase groups node IDs by phase, preserving topological order within

@@ -127,45 +127,6 @@ func TestAncestorsDescendants(t *testing.T) {
 	}
 }
 
-func TestReplaySetCutsAtAliveNodes(t *testing.T) {
-	// Chain: input -> p1 -> p2 -> p3. Lose p3 while p2 is alive:
-	// replay must contain only p3.
-	g := New("chain")
-	in := g.MustAdd(&Node{Op: "input", Ref: "x"})
-	p1 := g.MustAdd(&Node{Op: "relu", Inputs: []NodeID{in}})
-	p2 := g.MustAdd(&Node{Op: "relu", Inputs: []NodeID{p1}})
-	p3 := g.MustAdd(&Node{Op: "relu", Inputs: []NodeID{p2}})
-
-	replay := g.ReplaySet(map[NodeID]bool{p3: true}, map[NodeID]bool{p2: true, in: true})
-	if len(replay) != 1 || replay[0] != p3 {
-		t.Errorf("replay = %v, want [%d]", replay, p3)
-	}
-
-	// Lose p2 and p3 with only the input alive: replay p1,p2,p3.
-	replay = g.ReplaySet(map[NodeID]bool{p2: true, p3: true}, map[NodeID]bool{in: true})
-	if len(replay) != 3 {
-		t.Errorf("replay = %v, want 3 nodes", replay)
-	}
-
-	// Nothing alive: the full ancestor closure replays, including input.
-	replay = g.ReplaySet(map[NodeID]bool{p3: true}, nil)
-	if len(replay) != 4 {
-		t.Errorf("replay = %v, want all 4", replay)
-	}
-}
-
-func TestReplaySetLostNodeAlsoAlive(t *testing.T) {
-	// A node marked lost must replay even if listed alive (epoch
-	// invalidation overrides stale residency).
-	g := New("c")
-	in := g.MustAdd(&Node{Op: "input", Ref: "x"})
-	p := g.MustAdd(&Node{Op: "relu", Inputs: []NodeID{in}})
-	replay := g.ReplaySet(map[NodeID]bool{p: true}, map[NodeID]bool{p: true, in: true})
-	if len(replay) != 1 || replay[0] != p {
-		t.Errorf("replay = %v", replay)
-	}
-}
-
 func TestByPhaseByModuleParams(t *testing.T) {
 	g := New("m")
 	w := g.MustAdd(&Node{Op: "param", Ref: "w", Module: "net.fc", Residency: ResidencyPersistentWeight})

@@ -81,10 +81,10 @@ func IsRemote(err error) bool {
 // IsStateLoss reports whether err means the server is alive but the
 // state this client depended on is gone — a stale epoch after a crash,
 // a missing resident object, or an injected backend crash. These are
-// not retryable in place: the caller must replay lost state (lineage
-// recovery) or rebind to a replica that has it. Matching is on the
-// server's error text, the same pragmatic contract IsClosed uses for
-// the net stack's unexported errors.
+// not retryable in place: the caller must rebuild the lost state (a
+// session re-prefills its token log) or move to a replica that has it.
+// Matching is on the server's error text, the same pragmatic contract
+// IsClosed uses for the net stack's unexported errors.
 func IsStateLoss(err error) bool {
 	var re *RemoteError
 	if !errors.As(err, &re) {

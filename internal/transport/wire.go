@@ -453,7 +453,7 @@ type Binding struct {
 	// Key names a server-resident object (empty when Inline is set).
 	Key string
 	// Epoch the client believes the object is from; the server rejects
-	// stale epochs so lineage can detect lost state.
+	// stale epochs, so a session learns its state was lost.
 	Epoch uint32
 
 	// Hash replaces Inline with a 32-byte content hash of bytes the
