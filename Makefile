@@ -61,7 +61,6 @@ parity:
 # soak with goroutine-leak checks.
 pool:
 	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run .
-	$(GO) test -race -count=$(COUNT) ./internal/cluster/ -run 'Remove|Evict'
 
 # Negotiated wire tier (DESIGN.md §11) under the race detector: codec
 # round trips for the ref/delta/compressed frames (go test runs each

@@ -101,6 +101,7 @@ func Analyzers() []*Analyzer {
 		SpanbalanceAnalyzer,
 		AtomicmixAnalyzer,
 		TimerleakAnalyzer,
+		DeadexportAnalyzer,
 	}
 }
 

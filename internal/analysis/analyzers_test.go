@@ -61,6 +61,14 @@ func TestTimerleakFixture(t *testing.T) {
 	runWantTest(t, "timerleak", fixtureDir("internal", "serve", "timerleakdata"))
 }
 
+// TestDeadexportFixture loads the program and facade stand-ins first,
+// so the use index sees them, then checks the internal fixture package.
+func TestDeadexportFixture(t *testing.T) {
+	loadFixture(t, fixtureDir("cmd", "deadexportmain"))
+	loadFixture(t, fixtureDir("deadexportfacade"))
+	runWantTest(t, "deadexport", fixtureDir("internal", "deadexportdata"))
+}
+
 // TestFixtureScopeMapping pins the testdata/src path translation that
 // makes fixture packages land inside each analyzer's scope.
 func TestFixtureScopeMapping(t *testing.T) {
@@ -141,6 +149,9 @@ func TestScopeGates(t *testing.T) {
 	}
 	if SpanbalanceAnalyzer.AppliesTo("genie/cmd/genie-lint") {
 		t.Error("spanbalance must not apply to binaries")
+	}
+	if DeadexportAnalyzer.AppliesTo("genie/cmd/genie-lint") || DeadexportAnalyzer.AppliesTo("genie") {
+		t.Error("deadexport must judge only internal/ declarations")
 	}
 	if !TimerleakAnalyzer.AppliesTo("genie/internal/transport") {
 		t.Error("timerleak must apply to the transport retry paths")

@@ -89,6 +89,7 @@ func Run(patterns []string, opts Options) int {
 	// loader saw — requested packages and their dependencies alike, so
 	// summaries cross package boundaries.
 	prog := BuildProgram(loader.Packages())
+	prog.refs.complete = coversModule(loader, modRoot)
 
 	// Phase 3: analyze the requested packages in parallel. Results land
 	// in a per-package slot so the report order is deterministic
@@ -150,6 +151,25 @@ func Run(patterns []string, opts Options) int {
 		return ExitFindings
 	}
 	return ExitClean
+}
+
+// coversModule reports whether the loader saw every package of the
+// module, so a use index built over its packages is the whole story.
+func coversModule(loader *Loader, modRoot string) bool {
+	all, err := ExpandPatterns(modRoot, []string{"./..."})
+	if err != nil {
+		return false
+	}
+	for _, dir := range all {
+		path, err := loader.importPath(dir)
+		if err != nil {
+			return false
+		}
+		if p, ok := loader.pkgs[path]; !ok || len(p.Errs) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // selectAnalyzers resolves a -checks filter against the registry.

@@ -86,6 +86,7 @@ type progFunc struct {
 type Program struct {
 	fns   map[*types.Func]*progFunc
 	order []*types.Func // deterministic iteration order (by position)
+	refs  *refIndex     // module-wide use index (deadexport)
 }
 
 // BuildProgram indexes every function in pkgs (packages with load
@@ -116,6 +117,7 @@ func BuildProgram(pkgs []*Package) *Program {
 		seedSummary(fn, p.fns[fn])
 	}
 	p.propagate()
+	p.refs = buildRefIndex(pkgs)
 	return p
 }
 

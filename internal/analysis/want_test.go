@@ -86,6 +86,9 @@ func runWantTest(t *testing.T, analyzerName, relDir string) {
 		t.Fatalf("no analyzer %q", analyzerName)
 	}
 	prog := BuildProgram(loader.Packages())
+	// A fixture's world is what the shared loader holds: the use index
+	// over it is complete for the fixture's own symbols.
+	prog.refs.complete = true
 	diags := applyIgnores(RunAnalyzer(analyzer, pkg, prog), collectIgnores(pkg.Fset, pkg.Files))
 	wants := parseWants(t, pkg)
 

@@ -194,10 +194,9 @@ func (s *Server) maybeQuantize(key string, t *tensor.Tensor) *tensor.Tensor {
 	return t
 }
 
-// Spec returns the modeled device.
-func (s *Server) Spec() device.Spec { return s.spec }
-
 // Epoch returns the current store epoch.
+//
+//lint:ignore deadexport test observation: crash tests read the store epoch directly
 func (s *Server) Epoch() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,6 +275,8 @@ func (s *Server) Crash() {
 
 // FailNextExecs arms exec-level fault injection: the next n Exec calls
 // return an error without executing.
+//
+//lint:ignore deadexport test fake: injects exec failures into an in-process server
 func (s *Server) FailNextExecs(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,6 +310,8 @@ func (s *Server) Stats() *transport.Stats {
 
 // ResidentKeys lists the keys of all resident objects — diagnostics for
 // tests and operators checking per-request state is released.
+//
+//lint:ignore deadexport test observation: key-accounting tests list the resident set
 func (s *Server) ResidentKeys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,15 +430,10 @@ func (s *Server) Exec(x *transport.Exec) (*transport.ExecOK, error) {
 	return out, nil
 }
 
-// GPUBusyNs returns accumulated modeled device time.
-func (s *Server) GPUBusyNs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busyNs
-}
-
 // ResetAccounting zeroes busy-time and call counters (between experiment
 // phases) without touching resident state.
+//
+//lint:ignore deadexport test fake: zeroes counters between measured phases
 func (s *Server) ResetAccounting() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -337,3 +337,23 @@ func TestExecKeepRespectsCapacity(t *testing.T) {
 		t.Error("over-capacity keep should fail")
 	}
 }
+
+func TestExecAttestation(t *testing.T) {
+	s := NewServer(device.A100)
+	b := lazy.NewBuilder("att")
+	x := b.Input("x", tensor.FromF32(tensor.Shape{1}, []float32{1}))
+	y := b.ReLU(x)
+	xt, _ := b.InputData("x")
+	ex := &transport.Exec{
+		Graph: b.Graph(),
+		Binds: []transport.Binding{{Ref: "x", Inline: xt}},
+		Want:  []srg.NodeID{y.ID()},
+	}
+	ok, err := s.Exec(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok.GraphFP != b.Graph().Fingerprint() {
+		t.Errorf("attestation %q != graph fingerprint %q", ok.GraphFP, b.Graph().Fingerprint())
+	}
+}

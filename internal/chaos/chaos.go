@@ -140,9 +140,6 @@ func (p *Plan) Seed() int64 { return p.seed }
 // determinism.
 func (p *Plan) SetActive(active bool) { p.disarmed.Store(!active) }
 
-// Active reports whether the plan is currently injecting.
-func (p *Plan) Active() bool { return !p.disarmed.Load() }
-
 // Injected snapshots how many faults of each kind fired so far, keyed
 // by kind: drop_write, corrupt_write, delay, stall, kill, crash_exec.
 func (p *Plan) Injected() map[string]int64 {

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -81,9 +80,6 @@ type State struct {
 	// queueDepth tracks outstanding work per accelerator for queueing
 	// cost estimates and least-loaded placement.
 	queueDepth map[AcceleratorID]int
-	// failed marks accelerators currently considered down; replacement
-	// selection skips them until MarkHealthy.
-	failed map[AcceleratorID]bool
 }
 
 // NewState builds an empty pool.
@@ -93,7 +89,6 @@ func NewState() *State {
 		resident:      make(map[string]AcceleratorID),
 		residentBytes: make(map[AcceleratorID]int64),
 		queueDepth:    make(map[AcceleratorID]int),
-		failed:        make(map[AcceleratorID]bool),
 	}
 }
 
@@ -139,16 +134,12 @@ func (s *State) Remote() []*Accelerator {
 }
 
 // SetResident records that object key is materialized on acc, occupying
-// bytes of device memory.
+// bytes of device memory. Sizes are not tracked per key, so setting a
+// key again re-homes it without releasing the bytes it was first
+// recorded with.
 func (s *State) SetResident(key string, acc AcceleratorID, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.resident[key]; ok {
-		// Re-homing: release the previous accounting first. Size is not
-		// tracked per key to keep this O(1); callers re-home via
-		// EvictResident + SetResident when sizes change.
-		_ = prev
-	}
 	s.resident[key] = acc
 	s.residentBytes[acc] += bytes
 }
@@ -161,69 +152,6 @@ func (s *State) ResidentOn(key string) (AcceleratorID, bool) {
 	return id, ok
 }
 
-// EvictResident forgets a materialized object, returning bytes to the
-// device budget.
-func (s *State) EvictResident(key string, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if acc, ok := s.resident[key]; ok {
-		s.residentBytes[acc] -= bytes
-		if s.residentBytes[acc] < 0 {
-			s.residentBytes[acc] = 0
-		}
-		delete(s.resident, key)
-	}
-}
-
-// EvictAccelerator drops every resident object on acc (a failure, §3.5)
-// and returns the evicted keys. The accelerator's residency and
-// queue-depth accounting reset with it — a failed device holds no work
-// and no bytes, so stale entries must not skew Replacement/LeastLoaded.
-func (s *State) EvictAccelerator(acc AcceleratorID) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.evictLocked(acc)
-	sort.Strings(keys)
-	return keys
-}
-
-// evictLocked clears acc's residency and queue-depth entries; callers
-// hold s.mu.
-func (s *State) evictLocked(acc AcceleratorID) []string {
-	var keys []string
-	for k, a := range s.resident {
-		if a == acc {
-			keys = append(keys, k)
-			delete(s.resident, k)
-		}
-	}
-	delete(s.residentBytes, acc)
-	delete(s.queueDepth, acc)
-	return keys
-}
-
-// Remove deregisters an accelerator entirely — elastic-membership
-// departure, voluntary or not. Every trace of the member goes with it:
-// registration, residency map entries, byte and queue-depth accounting,
-// and any failure mark, so the same ID can re-join later (AddAccelerator
-// rejects duplicates) and no stale entry leaks into placement decisions.
-// Returns the keys that were resident on the member.
-func (s *State) Remove(acc AcceleratorID) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.evictLocked(acc)
-	delete(s.accs, acc)
-	delete(s.failed, acc)
-	for i, id := range s.order {
-		if id == acc {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // ResidentBytes returns the resident footprint on acc.
 func (s *State) ResidentBytes(acc AcceleratorID) int64 {
 	s.mu.RLock()
@@ -231,21 +159,12 @@ func (s *State) ResidentBytes(acc AcceleratorID) int64 {
 	return s.residentBytes[acc]
 }
 
-// IncQueue/DecQueue adjust the outstanding-work depth for least-loaded
+// IncQueue adds one unit of outstanding work on acc for least-loaded
 // placement.
 func (s *State) IncQueue(acc AcceleratorID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.queueDepth[acc]++
-}
-
-// DecQueue decrements the queue depth, clamping at zero.
-func (s *State) DecQueue(acc AcceleratorID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.queueDepth[acc] > 0 {
-		s.queueDepth[acc]--
-	}
 }
 
 // QueueDepth returns the outstanding-work depth on acc.
@@ -255,57 +174,13 @@ func (s *State) QueueDepth(acc AcceleratorID) int {
 	return s.queueDepth[acc]
 }
 
-// LeastLoaded returns the healthy remote accelerator with the smallest
-// queue depth (ties broken by registration order), or nil if the pool
-// has no healthy remote devices.
+// LeastLoaded returns the remote accelerator with the smallest queue
+// depth (ties broken by registration order), or nil if the pool has no
+// remote devices.
 func (s *State) LeastLoaded() *Accelerator {
 	var best *Accelerator
 	bestDepth := 0
 	for _, a := range s.Remote() {
-		if !s.Healthy(a.ID) {
-			continue
-		}
-		d := s.QueueDepth(a.ID)
-		if best == nil || d < bestDepth {
-			best, bestDepth = a, d
-		}
-	}
-	return best
-}
-
-// MarkFailed records that acc is down (§3.5 failure detection): it is
-// excluded from Replacement and LeastLoaded until MarkHealthy.
-func (s *State) MarkFailed(acc AcceleratorID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failed[acc] = true
-}
-
-// MarkHealthy clears a failure mark (a probe succeeded; the backend
-// rejoined the pool).
-func (s *State) MarkHealthy(acc AcceleratorID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.failed, acc)
-}
-
-// Healthy reports whether acc carries no failure mark.
-func (s *State) Healthy(acc AcceleratorID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return !s.failed[acc]
-}
-
-// Replacement picks the least-loaded healthy remote accelerator other
-// than failed — the endpoint a recovering session rebinds to. Returns
-// nil when no healthy candidate exists (the caller sheds or waits).
-func (s *State) Replacement(failed AcceleratorID) *Accelerator {
-	var best *Accelerator
-	bestDepth := 0
-	for _, a := range s.Remote() {
-		if a.ID == failed || !s.Healthy(a.ID) {
-			continue
-		}
 		d := s.QueueDepth(a.ID)
 		if best == nil || d < bestDepth {
 			best, bestDepth = a, d

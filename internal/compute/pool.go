@@ -15,7 +15,6 @@
 package compute
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -127,44 +126,6 @@ func (p *Pool) ParallelFor(n, grain int, fn func(start, end int)) {
 		}
 	}
 	p.fanOut(chunks, run)
-}
-
-// ParallelForCtx is ParallelFor with cooperative cancellation: chunk
-// claiming stops once ctx is done and the context's error is returned.
-// On a non-nil return some ranges have not executed, so the output is
-// unusable — callers abandon it (the serving path's request-cancel
-// propagation).
-func (p *Pool) ParallelForCtx(ctx context.Context, n, grain int, fn func(start, end int)) error {
-	chunks, grain := forChunks(n, grain)
-	if chunks == 0 {
-		return ctx.Err()
-	}
-	if chunks == 1 || p == nil || p.width == 1 || p.stopped.Load() {
-		for c := 0; c < chunks && ctx.Err() == nil; c++ {
-			end := (c + 1) * grain
-			if end > n {
-				end = n
-			}
-			fn(c*grain, end)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	run := func() {
-		for ctx.Err() == nil {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			end := (c + 1) * grain
-			if end > n {
-				end = n
-			}
-			fn(c*grain, end)
-		}
-	}
-	p.fanOut(chunks, run)
-	return ctx.Err()
 }
 
 // fanOut hands run to up to width-1 idle helpers, runs it on the caller

@@ -1,8 +1,6 @@
 package compute
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -154,32 +152,6 @@ func TestWidthOneSpawnsNothing(t *testing.T) {
 	}
 	p.Stop()
 	snap.Check(t)
-}
-
-func TestParallelForCtxCancellation(t *testing.T) {
-	p := NewPool(2)
-	defer p.Stop()
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := p.ParallelForCtx(ctx, 1000, 1, func(start, end int) {
-		if ran.Add(1) == 3 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 1000 {
-		t.Fatalf("cancellation did not stop chunk claiming (%d chunks ran)", n)
-	}
-	// A fresh context completes fully and returns nil.
-	ran.Store(0)
-	if err := p.ParallelForCtx(context.Background(), 50, 5, func(start, end int) { ran.Add(int64(end - start)) }); err != nil {
-		t.Fatalf("ParallelForCtx: %v", err)
-	}
-	if ran.Load() != 50 {
-		t.Fatalf("ran %d of 50 indices", ran.Load())
-	}
 }
 
 func TestDefaultPoolAndConfigure(t *testing.T) {

@@ -119,17 +119,3 @@ func (s Spec) KernelTime(flops float64, bytes int64) time.Duration {
 	}
 	return s.LaunchOverhead + time.Duration(t*float64(time.Second))
 }
-
-// ComputeBound reports whether a kernel with the given cost is limited by
-// FLOPs rather than memory bandwidth on this device.
-func (s Spec) ComputeBound(flops float64, bytes int64) bool {
-	return flops/s.PeakFLOPS > float64(bytes)/s.MemBandwidth
-}
-
-// MachineBalance returns the FLOPs/byte ratio at which this device
-// transitions from memory- to compute-bound.
-func (s Spec) MachineBalance() float64 { return s.PeakFLOPS / s.MemBandwidth }
-
-// Fits reports whether a resident set of the given size fits in device
-// memory.
-func (s Spec) Fits(bytes int64) bool { return bytes <= s.MemBytes }

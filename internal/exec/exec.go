@@ -292,8 +292,10 @@ type Binder func(op, ref string) (*tensor.Tensor, error)
 
 // Graph evaluates an entire SRG in topological order, binding leaves via
 // bind, and returns every node's value. It is the reference evaluator
-// behind local execution (runtime.RunLocal) and tests; production paths
-// execute plans node by node so they can interleave transfers.
+// behind the facade's ExecuteLocal and tests; production paths execute plans
+// node by node so they can interleave transfers.
+//
+//lint:ignore deadexport facade only: the reference evaluator behind genie.ExecuteLocal and tests
 func Graph(g *srg.Graph, bind Binder) (map[srg.NodeID]*tensor.Tensor, error) {
 	vals := make(map[srg.NodeID]*tensor.Tensor, g.Len())
 	for _, id := range g.TopoOrder() {

@@ -78,6 +78,8 @@ func AnnotateWith(g *srg.Graph, recs []Recognizer) Report {
 // AnnotatePhase is the explicit developer hook (genie.annotate_phase in
 // the paper): every node whose module path starts with modulePrefix gets
 // the phase.
+//
+//lint:ignore deadexport facade only: the paper's genie.annotate_phase hook (§3.2), exercised through the facade
 func AnnotatePhase(g *srg.Graph, modulePrefix string, p srg.Phase) int {
 	n := 0
 	for _, node := range g.Nodes() {
@@ -90,6 +92,8 @@ func AnnotatePhase(g *srg.Graph, modulePrefix string, p srg.Phase) int {
 }
 
 // AnnotateResidency explicitly overrides residency for a leaf ref.
+//
+//lint:ignore deadexport facade only: the paper's residency override hook (§3.2), exercised through the facade
 func AnnotateResidency(g *srg.Graph, ref string, r srg.Residency) error {
 	for _, node := range g.Nodes() {
 		if (node.Op == "param" || node.Op == "input") && node.Ref == ref {
@@ -98,18 +102,6 @@ func AnnotateResidency(g *srg.Graph, ref string, r srg.Residency) error {
 		}
 	}
 	return fmt.Errorf("frontend: no leaf with ref %q", ref)
-}
-
-// AnnotateModality stamps a modality on every node under modulePrefix.
-func AnnotateModality(g *srg.Graph, modulePrefix string, m srg.Modality) int {
-	n := 0
-	for _, node := range g.Nodes() {
-		if node.Module == modulePrefix || strings.HasPrefix(node.Module, modulePrefix+".") {
-			node.Modality = m
-			n++
-		}
-	}
-	return n
 }
 
 // --- recognizers ---

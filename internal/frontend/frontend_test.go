@@ -153,17 +153,6 @@ func TestAnnotateResidencyHook(t *testing.T) {
 	}
 }
 
-func TestAnnotateModality(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := models.NewGPT(rng, models.TinyGPT)
-	b, _ := m.BuildPrefill([]int64{1, 2})
-	g := b.Graph()
-	n := AnnotateModality(g, "gpt.lm_head", srg.ModalityDense)
-	if n == 0 {
-		t.Error("modality annotation matched nothing")
-	}
-}
-
 func TestReductionRatesMarked(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := models.NewGPT(rng, models.TinyGPT)

@@ -83,6 +83,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the given pool.
+//
+//lint:ignore deadexport facade only: examples/multitenant reaches it through genie.go; ROADMAP item 2 keeps one admission owner
 func NewCoordinator(cs *cluster.State, model *scheduler.CostModel) *Coordinator {
 	return &Coordinator{cs: cs, model: model}
 }

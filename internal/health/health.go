@@ -386,23 +386,19 @@ func (t *Tracker) Name() string { return t.name }
 // proves the endpoint alive and healthy-fast).
 func (t *Tracker) Observe(d time.Duration, failed bool) {
 	t.window.Observe(d)
-	base := t.set.baselineEwma()
-	alpha := t.set.cfg.Alpha
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.samples++
-	if t.ewma == 0 {
-		t.ewma = float64(d)
-	} else {
-		t.ewma = alpha*float64(d) + (1-alpha)*t.ewma
-	}
-	e := 0.0
-	if failed {
-		e = 1.0
-	}
-	t.errEwma = alpha*e + (1-alpha)*t.errEwma
-	t.evaluate(base, failed)
-	t.scoreGauge.Set(int64(1000 * t.scoreLocked(base)))
+	t.fold(d, true, failed)
+}
+
+// ObservePrefill folds one prompt-phase operation into the score. A
+// prefill costs ten or more decode steps, so its latency stays out of
+// the EWMA that ranks lanes against each other: a lane would otherwise
+// look slow for having admitted more newcomers than its peers. The
+// latency still reaches the percentile window, so OpDeadline covers
+// prefills, and the outcome feeds the error EWMA and the state machine
+// like any other operation.
+func (t *Tracker) ObservePrefill(d time.Duration, failed bool) {
+	t.window.Observe(d)
+	t.fold(0, false, failed)
 }
 
 // ObserveProbe folds one active-probe outcome into the score. A probe
@@ -414,10 +410,24 @@ func (t *Tracker) Observe(d time.Duration, failed bool) {
 // the reinstatement streak), and the probe counter.
 func (t *Tracker) ObserveProbe(_ time.Duration, failed bool) {
 	t.probes.Inc()
+	t.fold(0, false, failed)
+}
+
+// fold adds one outcome to the error EWMA and, when timed, its latency
+// d to the latency EWMA, then re-evaluates the state machine.
+func (t *Tracker) fold(d time.Duration, timed, failed bool) {
 	base := t.set.baselineEwma()
 	alpha := t.set.cfg.Alpha
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if timed {
+		t.samples++
+		if t.ewma == 0 {
+			t.ewma = float64(d)
+		} else {
+			t.ewma = alpha*float64(d) + (1-alpha)*t.ewma
+		}
+	}
 	e := 0.0
 	if failed {
 		e = 1.0
@@ -593,12 +603,6 @@ func (t *Tracker) ProbeWait() time.Duration {
 		w = time.Millisecond
 	}
 	return w
-}
-
-// Quantile reads one exact quantile from the latency window.
-func (t *Tracker) Quantile(q float64) time.Duration {
-	out, _ := t.window.Quantiles(q)
-	return out[0]
 }
 
 // snapshot builds the /stats view.

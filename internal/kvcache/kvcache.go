@@ -140,9 +140,6 @@ func (m *Manager) Match(prompt []int64) (runtime.PrefixHit, error) {
 	return runtime.PrefixHit{Matched: matched, KV: prefix, Commit: commit}, nil
 }
 
-// PageTokens reports the effective page granularity.
-func (m *Manager) PageTokens() int { return m.cfg.PageTokens }
-
 // Model returns the model the cache serves.
 func (m *Manager) Model() *models.GPT { return m.cfg.Model }
 
@@ -168,14 +165,6 @@ func (m *Manager) pinRange(tokens []int64, n int) *Pin {
 		m.pins[p] = struct{}{}
 	}
 	return p
-}
-
-// Tokens is the matched prefix length.
-func (p *Pin) Tokens() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.tokens)
 }
 
 // Unpin releases the pin. Idempotent; safe on nil.

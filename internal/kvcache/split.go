@@ -127,7 +127,7 @@ func NewSplit(cfg SplitConfig) (*Split, error) {
 // Hedged/HedgeWins/HedgeCancelled report hedged-prefill activity.
 func (sp *Split) Hedged() int64         { return sp.hedged.Value() }
 func (sp *Split) HedgeWins() int64      { return sp.hedgeWins.Value() }
-func (sp *Split) HedgeCancelled() int64 { return sp.hedgeCancels.Value() }
+func (sp *Split) HedgeCancelled() int64 { return sp.hedgeCancels.Value() } //lint:ignore deadexport test observation: hedge tests count cancelled backups
 
 // InstallWeights provisions both endpoints with the model weights.
 func (sp *Split) InstallWeights() error {

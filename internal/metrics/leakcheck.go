@@ -20,6 +20,8 @@ type GoroutineSnapshot struct {
 }
 
 // SnapGoroutines records the current goroutine count.
+//
+//lint:ignore deadexport test reference: goroutine-leak baseline shared by every package's tests
 func SnapGoroutines() GoroutineSnapshot {
 	return GoroutineSnapshot{base: runtime.NumGoroutine()}
 }
@@ -38,6 +40,8 @@ type Reporter interface {
 // before the failure is declared; on failure the report carries every
 // live stack so the leaked goroutine is identifiable directly from the
 // test log.
+//
+//lint:ignore deadexport test reference: goroutine-leak assertion shared by every package's tests
 func (g GoroutineSnapshot) Check(rep Reporter) {
 	rep.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -479,6 +479,8 @@ func (m *GPT) BuildSegment(spec SegmentSpec) (*lazy.Builder, SegmentOutputs) {
 // for the runtime to rebind to remote-resident keys. Offset-based causal
 // masking inside the blocks makes the result bit-identical to a full
 // BuildPrefill over prefix+suffix.
+//
+//lint:ignore deadexport ROADMAP item 19 wires suffix-over-history prefill into the lane
 func (m *GPT) BuildPrefillExtend(suffix []int64, histLen int, caches []*nn.KVCache) (*lazy.Builder, SegmentOutputs) {
 	if len(suffix) == 0 || histLen <= 0 || histLen+len(suffix) > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("models: extend of %d tokens over history %d out of range", len(suffix), histLen))

@@ -15,6 +15,8 @@ import (
 )
 
 // Module is anything that can capture a forward pass over a single input.
+//
+//lint:ignore deadexport test reference: the nn layer contract the layer tests iterate over
 type Module interface {
 	// Forward captures the module's computation on x inside scope name.
 	Forward(b *lazy.Builder, name string, x lazy.Value) lazy.Value
@@ -168,6 +170,8 @@ func (c *KVCache) Bytes() int64 {
 
 // Append grows the cache with new rows (concrete-side mirror of the
 // captured concat).
+//
+//lint:ignore deadexport test reference: concrete mirror of the captured KV concat
 func (c *KVCache) Append(k, v *tensor.Tensor) {
 	if c.K == nil {
 		c.K, c.V = k.Clone(), v.Clone()

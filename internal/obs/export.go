@@ -87,15 +87,3 @@ func procID(proc string) uint32 {
 	}
 	return id
 }
-
-// WriteNDJSON renders spans one JSON object per line — the grep-able
-// export for log pipelines.
-func WriteNDJSON(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -55,24 +55,3 @@ func TestChromeTraceRoundTripsThroughJSON(t *testing.T) {
 		t.Fatalf("attrs not exported as args:\n%s", buf.String())
 	}
 }
-
-func TestNDJSONOneObjectPerLine(t *testing.T) {
-	spans := sampleSpans(t)
-	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, spans); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(spans) {
-		t.Fatalf("%d lines for %d spans", len(lines), len(spans))
-	}
-	for _, line := range lines {
-		var s Span
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if s.Trace == 0 || s.ID == 0 {
-			t.Fatalf("span line lost IDs: %q", line)
-		}
-	}
-}

@@ -227,42 +227,3 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0..1) by linear interpolation
-// inside the bucket holding that rank — the registry-side replacement
-// for sorting raw samples with metrics.Percentile when only the
-// histogram survives.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.buckets {
-		n := float64(h.buckets[i].n.Load())
-		if cum+n >= rank || i == len(h.buckets)-1 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			if n == 0 {
-				return lo
-			}
-			frac := (rank - cum) / n
-			return lo + frac*(hi-lo)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}

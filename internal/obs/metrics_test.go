@@ -57,12 +57,13 @@ func TestHistogramBucketsSumQuantile(t *testing.T) {
 	if math.Abs(h.Sum()-5.605) > 1e-9 {
 		t.Fatalf("sum %v", h.Sum())
 	}
-	// Median falls in the (0.01, 0.1] bucket.
-	if q := h.Quantile(0.5); q <= 0.01 || q > 0.1 {
-		t.Fatalf("p50 %v outside its bucket", q)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 %v", q)
+	// One value per bucket but two in (0.01, 0.1], where the median
+	// (rank 2.5 of 5) falls; 5 overflows into the +Inf bucket.
+	want := []int64{1, 2, 1, 1}
+	for i, w := range want {
+		if got := h.buckets[i].n.Load(); got != w {
+			t.Fatalf("bucket %d holds %d, want %d", i, got, w)
+		}
 	}
 }
 

@@ -112,20 +112,10 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *
 	return ContextWithSpan(ctx, s), s
 }
 
-// StartRemote opens a span whose parent lives in another process: trace
-// and parent arrived over the wire. Zero trace means "caller was not
-// tracing" and yields no span. A nil tracer returns (ctx, nil).
-func (t *Tracer) StartRemote(ctx context.Context, trace, parent uint64, name string) (context.Context, *Span) {
-	if t == nil || trace == 0 {
-		return ctx, nil
-	}
-	s := t.newSpan(trace, parent, name)
-	return ContextWithSpan(ctx, s), s
-}
-
-// RemoteSpan is StartRemote for call sites that have no context to
-// thread (the backend's frame loop): it returns just the span, nil when
-// the tracer is nil or the caller was not tracing.
+// RemoteSpan opens a span whose parent lives in another process: trace
+// and parent arrived over the wire (the backend's frame loop). Zero
+// trace means "caller was not tracing" and yields no span, as does a nil
+// tracer.
 func (t *Tracer) RemoteSpan(trace, parent uint64, name string) *Span {
 	if t == nil || trace == 0 {
 		return nil

@@ -102,10 +102,12 @@ func TestSpanTreeParentingAndClock(t *testing.T) {
 	}
 }
 
+// TestStartRemoteLinksCrossProcessParent: RemoteSpan starts a span under
+// a parent from another process, as the backend does per frame.
 func TestStartRemoteLinksCrossProcessParent(t *testing.T) {
 	tr := NewTracer(TracerConfig{Proc: "server", Capacity: 16})
 	defer tr.Stop()
-	ctx, s := tr.StartRemote(context.Background(), 0xabc, 42, "backend.exec")
+	s := tr.RemoteSpan(0xabc, 42, "backend.exec")
 	if s == nil {
 		t.Fatal("remote span with live trace must be created")
 	}
@@ -113,13 +115,17 @@ func TestStartRemoteLinksCrossProcessParent(t *testing.T) {
 		t.Fatalf("remote span %+v", s)
 	}
 	// Children hang off the remote span as usual.
-	_, child := StartSpan(ctx, "inner")
+	_, child := StartSpan(ContextWithSpan(context.Background(), s), "inner")
 	if child.Parent != s.ID || child.Trace != 0xabc {
 		t.Fatalf("remote child %+v", child)
 	}
 	// Zero trace = caller not tracing = no span.
-	if _, none := tr.StartRemote(context.Background(), 0, 7, "x"); none != nil {
+	if none := tr.RemoteSpan(0, 7, "x"); none != nil {
 		t.Fatal("zero trace must not create spans")
+	}
+	var off *Tracer
+	if none := off.RemoteSpan(0xabc, 42, "x"); none != nil {
+		t.Fatal("a nil tracer must not create spans")
 	}
 }
 

@@ -158,6 +158,8 @@ func clampI8(v float32) int8 {
 
 // Dequantize expands an I8 tensor with attached scales back to f32.
 // Mostly a test utility: the kernels dequantize on store instead.
+//
+//lint:ignore deadexport test reference: the int8 round-trip oracle of the quant tests
 func Dequantize(q *tensor.Tensor) (*tensor.Tensor, error) {
 	if q.DType() != tensor.I8 {
 		return nil, fmt.Errorf("quant: Dequantize on %s (want i8)", q.DType())

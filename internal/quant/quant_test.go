@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,32 +131,5 @@ func TestQuantizeRow(t *testing.T) {
 	zrow := make([]int8, 3)
 	if s := QuantizeRow([]float32{0, 0, 0}, zrow); s != 1 {
 		t.Fatalf("all-zero row scale = %g, want 1", s)
-	}
-}
-
-func TestScalesSurviveSerialization(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	w := tensor.New(tensor.F32, 8, 6)
-	w.RandN(rng, 0.5)
-	q, err := QuantizeLinear(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tensor.Write(&buf, q); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tensor.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DType() != tensor.I8 || got.QuantAxis() != 1 || len(got.Scales()) != 6 {
-		t.Fatalf("round trip lost quant metadata: %s axis=%d scales=%d",
-			got, got.QuantAxis(), len(got.Scales()))
-	}
-	for i := range q.I8() {
-		if q.At(i) != got.At(i) {
-			t.Fatalf("elem %d: %g vs %g", i, q.At(i), got.At(i))
-		}
 	}
 }

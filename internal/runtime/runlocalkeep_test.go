@@ -5,34 +5,38 @@ import (
 	"math/rand"
 	"testing"
 
+	"genie/internal/exec"
 	"genie/internal/models"
+	"genie/internal/srg"
 )
 
-// TestRunLocalKeepMatchesRunLocal: the lifetime-tracked evaluator must
-// return bit-identical values for the kept nodes and nothing else.
+// TestRunLocalKeepMatchesRunLocal: the lifetime-tracked evaluator behind
+// local sessions (exec.GraphEphemeral) must return bit-identical values
+// for the kept nodes, and nothing else, against the reference evaluator
+// (exec.Graph).
 func TestRunLocalKeepMatchesRunLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := models.NewGPT(rng, models.TinyGPT)
 	prompt := []int64{3, 1, 4, 1, 5}
 
 	b1, out1 := m.BuildPrefill(prompt)
-	all, err := RunLocal(b1)
+	all, err := exec.Graph(b1.Graph(), BindAll(b1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2, out2 := m.BuildPrefill(prompt)
-	keep := map[int32]bool{int32(out2.NextToken): true, int32(out2.CacheK[0]): true}
-	kept, err := RunLocalKeep(b2, keep)
+	keep := map[srg.NodeID]bool{out2.NextToken: true, out2.CacheK[0]: true}
+	kept, err := exec.GraphEphemeral(b2.Graph(), BindAll(b2), keep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kept) != len(keep) {
-		t.Fatalf("RunLocalKeep returned %d values, want %d", len(kept), len(keep))
+		t.Fatalf("GraphEphemeral returned %d values, want %d", len(kept), len(keep))
 	}
-	if got, want := kept[int32(out2.NextToken)].I64()[0], all[int32(out1.NextToken)].I64()[0]; got != want {
+	if got, want := kept[out2.NextToken].I64()[0], all[out1.NextToken].I64()[0]; got != want {
 		t.Fatalf("next token %d, want %d", got, want)
 	}
-	gotK, wantK := kept[int32(out2.CacheK[0])].F32(), all[int32(out1.CacheK[0])].F32()
+	gotK, wantK := kept[out2.CacheK[0]].F32(), all[out1.CacheK[0]].F32()
 	for i := range wantK {
 		if math.Float32bits(gotK[i]) != math.Float32bits(wantK[i]) {
 			t.Fatalf("cache k diverges at %d: %v vs %v", i, gotK[i], wantK[i])

@@ -34,7 +34,6 @@ import (
 	"genie/internal/device"
 	"genie/internal/exec"
 	"genie/internal/lazy"
-	"genie/internal/srg"
 	"genie/internal/tensor"
 	"genie/internal/transport"
 )
@@ -108,6 +107,8 @@ func (m *Metrics) Add(o Metrics) {
 
 // Utilization returns GPU busy time over wall time (the evaluation's
 // "GPU Util" column).
+//
+//lint:ignore deadexport test reference: the evaluation's GPU-util column, checked by runtime tests
 func (m Metrics) Utilization() float64 {
 	if m.Wall == 0 {
 		return 0
@@ -130,41 +131,6 @@ func BindAll(b *lazy.Builder) exec.Binder {
 		}
 		return nil, fmt.Errorf("runtime: no input data for %q", ref)
 	}
-}
-
-// RunLocal evaluates a captured graph entirely in-process and returns all
-// node values.
-func RunLocal(b *lazy.Builder) (map[int32]*tensor.Tensor, error) {
-	vals, err := exec.Graph(b.Graph(), BindAll(b))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int32]*tensor.Tensor, len(vals))
-	for id, t := range vals {
-		out[int32(id)] = t
-	}
-	return out, nil
-}
-
-// RunLocalKeep evaluates a captured graph in-process with activation
-// lifetime tracking: only the keep nodes' values are retained and
-// returned; every other intermediate is released back to the tensor
-// scratch arena at its last use, so steady-state decode loops recycle
-// activation buffers instead of reallocating per token.
-func RunLocalKeep(b *lazy.Builder, keep map[int32]bool) (map[int32]*tensor.Tensor, error) {
-	need := make(map[srg.NodeID]bool, len(keep))
-	for id := range keep {
-		need[srg.NodeID(id)] = true
-	}
-	vals, err := exec.GraphEphemeral(b.Graph(), BindAll(b), need)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int32]*tensor.Tensor, len(vals))
-	for id, t := range vals {
-		out[int32(id)] = t
-	}
-	return out, nil
 }
 
 // InstallWeights uploads every parameter of a captured graph to the

@@ -166,17 +166,3 @@ func rateOr1(r float64) float64 {
 	}
 	return r
 }
-
-// TransferBytes totals the wire bytes a plan implies (cross-device edges
-// minus recomputed ones) — the scheduler-side estimate of the
-// evaluation's "Net" column.
-func (m *CostModel) TransferBytes(plan *Plan) int64 {
-	var total int64
-	for _, e := range plan.CrossDeviceEdges() {
-		if plan.Recompute[e.From] {
-			continue
-		}
-		total += int64(float64(e.Meta.Bytes()) * rateOr1(e.Rate))
-	}
-	return total
-}

@@ -17,6 +17,8 @@ import (
 // ("scale:0.5|gelu|relu"); the backend interpreter executes the stages
 // in order. Only single-consumer interior links fuse — a value read by
 // two consumers stays materialized.
+//
+//lint:ignore deadexport facade only: the §3.3 rewrite prepass, demonstrated through the facade
 type FuseElementwise struct{}
 
 // Name implements Rewrite.

@@ -17,6 +17,8 @@ type Prober interface {
 // subsequent scheduling decisions (placement, recomputation) use measured
 // rather than configured conditions. The minimum of `samples` probes
 // estimates propagation RTT (filtering queueing noise).
+//
+//lint:ignore deadexport facade only: the §3.3 runtime hint adaptation, demonstrated through the facade
 func AdaptHints(cs *cluster.State, id cluster.AcceleratorID, p Prober, samples int) error {
 	acc := cs.Accelerator(id)
 	if acc == nil {
@@ -44,6 +46,8 @@ func AdaptHints(cs *cluster.State, id cluster.AcceleratorID, p Prober, samples i
 // relative to the nominal link rate implies how much of the link other
 // traffic is consuming. Estimates are smoothed (EWMA, α=0.5) so one noisy
 // sample does not whipsaw the recomputation policy.
+//
+//lint:ignore deadexport facade only: the §3.3 runtime hint adaptation, demonstrated through the facade
 func ObserveTransfer(cs *cluster.State, id cluster.AcceleratorID, n int64, elapsed time.Duration) error {
 	acc := cs.Accelerator(id)
 	if acc == nil {

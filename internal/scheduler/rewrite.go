@@ -22,6 +22,8 @@ type Rewrite interface {
 
 // ApplyRewrites runs passes in order, returning the final graph and a
 // per-pass change count.
+//
+//lint:ignore deadexport facade only: the §3.3 rewrite prepass, demonstrated through the facade
 func ApplyRewrites(g *srg.Graph, passes ...Rewrite) (*srg.Graph, map[string]int) {
 	counts := map[string]int{}
 	for _, p := range passes {
@@ -33,6 +35,8 @@ func ApplyRewrites(g *srg.Graph, passes ...Rewrite) (*srg.Graph, map[string]int)
 }
 
 // DefaultRewrites returns the standard prepass pipeline.
+//
+//lint:ignore deadexport paper mechanism: the §3.3 rewrite prepass pipeline, demonstrated by tests
 func DefaultRewrites() []Rewrite {
 	return []Rewrite{DeadNodeElimination{}, CommonSubexpression{}}
 }

@@ -19,11 +19,6 @@ import (
 	"genie/internal/srg"
 )
 
-// Placement names where a node runs.
-type Placement struct {
-	Device cluster.AcceleratorID
-}
-
 // Plan is the scheduler's output: an execution recipe over an SRG.
 type Plan struct {
 	Graph *srg.Graph
@@ -172,6 +167,8 @@ func computeNodes(g *srg.Graph) []srg.NodeID {
 // operation is treated as independent and identical, spread across
 // remote accelerators cyclically. It ignores residency entirely, which
 // is what forces the repeated bulk transfers the evaluation measures.
+//
+//lint:ignore deadexport facade only: baseline placement policy of the §4 comparison
 type RoundRobin struct{}
 
 // Name implements Policy.
@@ -195,6 +192,8 @@ func (RoundRobin) Place(g *srg.Graph, cs *cluster.State) (*Plan, error) {
 
 // LeastLoaded places the whole graph on the remote device with the
 // smallest queue depth — load-aware but still semantics-blind.
+//
+//lint:ignore deadexport facade only: baseline placement policy of the §4 comparison
 type LeastLoaded struct{}
 
 // Name implements Policy.
@@ -218,6 +217,8 @@ func (LeastLoaded) Place(g *srg.Graph, cs *cluster.State) (*Plan, error) {
 // independent but not identical, §2.2's "slightly better" strawman): each
 // node goes where the most input bytes already are. It discovers weight
 // reuse bottom-up but cannot see phases, caches, or pipelines.
+//
+//lint:ignore deadexport facade only: baseline placement policy of the §4 comparison
 type DataAware struct{}
 
 // Name implements Policy.

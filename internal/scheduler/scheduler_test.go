@@ -292,10 +292,10 @@ func TestCostModelTransferVsCompute(t *testing.T) {
 		t.Errorf("round-robin estimate %v should exceed single-device %v",
 			spread.Estimate, single.Estimate)
 	}
-	if model.TransferBytes(single) != 0 {
+	if transferBytes(single) != 0 {
 		t.Error("single-device plan should imply zero transfers")
 	}
-	if model.TransferBytes(spread) == 0 {
+	if transferBytes(spread) == 0 {
 		t.Error("round-robin plan should imply transfers")
 	}
 }
@@ -308,7 +308,7 @@ func TestCostModelRecomputeRemovesTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := model.TransferBytes(plan)
+	before := transferBytes(plan)
 	// Recompute every producer of a cross-device edge.
 	plan.Recompute = map[srg.NodeID]bool{}
 	for _, e := range plan.CrossDeviceEdges() {
@@ -316,7 +316,7 @@ func TestCostModelRecomputeRemovesTransfer(t *testing.T) {
 			plan.Recompute[e.From] = true
 		}
 	}
-	after := model.TransferBytes(plan)
+	after := transferBytes(plan)
 	if after >= before {
 		t.Errorf("recompute should reduce transfer bytes: %d -> %d", before, after)
 	}
@@ -356,7 +356,7 @@ func TestPipelineEstimateBeatsSequentialForCNN(t *testing.T) {
 		t.Errorf("pipelined latency estimate %v should price inter-stage hops (seq %v)",
 			pipelined.Estimate, seq.Estimate)
 	}
-	if model.TransferBytes(pipelined) <= model.TransferBytes(seq) {
+	if transferBytes(pipelined) <= transferBytes(seq) {
 		t.Error("pipelined plan should imply more transfer bytes than single-device")
 	}
 }
@@ -440,4 +440,17 @@ func TestShardByMemoryPoolTooSmallErrors(t *testing.T) {
 	if _, err := Schedule(b.Graph(), cs, SemanticsAware{}, nil); err == nil {
 		t.Error("undersized pool should fail loudly, not thrash")
 	}
+}
+
+// transferBytes totals the wire bytes a plan implies: cross-device edges
+// minus recomputed ones.
+func transferBytes(plan *Plan) int64 {
+	var total int64
+	for _, e := range plan.CrossDeviceEdges() {
+		if plan.Recompute[e.From] {
+			continue
+		}
+		total += int64(float64(e.Meta.Bytes()) * rateOr1(e.Rate))
+	}
+	return total
 }

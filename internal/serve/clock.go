@@ -24,6 +24,8 @@ type FakeClock struct {
 }
 
 // NewFakeClock starts a fake clock at an arbitrary fixed instant.
+//
+//lint:ignore deadexport test fake: deterministic clock for the serving engine's tests
 func NewFakeClock() *FakeClock {
 	return &FakeClock{t: time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
@@ -36,6 +38,8 @@ func (f *FakeClock) Now() time.Time {
 }
 
 // Advance moves the clock forward.
+//
+//lint:ignore deadexport test fake: deterministic clock for the serving engine's tests
 func (f *FakeClock) Advance(d time.Duration) {
 	f.mu.Lock()
 	f.t = f.t.Add(d)

@@ -66,14 +66,14 @@ func TestLaneGateTripCycle(t *testing.T) {
 		{"remote error, cancel and caller deadline reset the streak", func(t *testing.T) {
 			for _, err := range []error{lost, lost, &transport.RemoteError{Msg: "bad shape"},
 				lost, lost, context.Canceled, lost, lost} {
-				l.record(live, time.Millisecond, err)
+				l.record(live, time.Millisecond, err, false)
 			}
-			l.record(callerDone, time.Millisecond, context.DeadlineExceeded)
-			l.record(live, time.Millisecond, lost)
-			l.record(live, time.Millisecond, lost)
+			l.record(callerDone, time.Millisecond, context.DeadlineExceeded, false)
+			l.record(live, time.Millisecond, lost, false)
+			l.record(live, time.Millisecond, lost, false)
 		}, health.Healthy, http.StatusOK},
 		{"trips at exactly the threshold", func(t *testing.T) {
-			l.record(live, time.Millisecond, lost)
+			l.record(live, time.Millisecond, lost, false)
 			if ra := l.gate.RetryAfter(); ra != time.Minute {
 				t.Fatalf("RetryAfter = %v, want the 1m cooldown", ra)
 			}
@@ -121,7 +121,7 @@ func TestLaneGateTripCycle(t *testing.T) {
 		{"a trip drains the batch without spending retries", func(t *testing.T) {
 			requeued = e.Stats().Requeued
 			for i := 0; i < 3; i++ {
-				l.record(live, time.Millisecond, lost)
+				l.record(live, time.Millisecond, lost, false)
 			}
 			if !l.iterate() || l.activeN.Load() != 0 {
 				t.Fatal("tripped lane kept its batch")
@@ -167,6 +167,63 @@ func TestLaneGateTripCycle(t *testing.T) {
 				t.Errorf("/healthz = %d, want %d", rec.Code, row.healthz)
 			}
 		})
+	}
+}
+
+// TestLaneGatePrefillsDoNotRankLanes: lanes are ranked on decode steps
+// alone. b0 runs four 13 ms prefills and then 1 ms steps; b1 runs only
+// 1 ms steps. Had the prefills entered b0's latency EWMA, b0 would read
+// several times slower than b1 and be demoted; instead it stays Healthy
+// throughout and admits work, and nothing is requeued. The prefills
+// still reach the window OpDeadline reads.
+func TestLaneGatePrefillsDoNotRankLanes(t *testing.T) {
+	gpt := models.NewGPT(rand.New(rand.NewSource(5)), models.TinyGPT)
+	b0, b1 := newServedBackend(gpt, nil), newServedBackend(gpt, nil)
+	defer b0.stop()
+	defer b1.stop()
+	clk := NewFakeClock()
+	hs := health.NewSet(health.Config{Now: clk.Now})
+	e, err := NewEngine(Config{Mode: runtime.ModeSemAware, Clock: clk, Health: hs},
+		[]Backend{{Name: "b0", Runner: b0.runner}, {Name: "b1", Runner: b1.runner}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, l1 := e.lanes[0], e.lanes[1]
+	live := context.Background()
+	const step, prefill = time.Millisecond, 13 * time.Millisecond
+
+	for i := 0; i < 10; i++ {
+		l1.record(live, step, nil, false)
+	}
+	for i := 0; i < 4; i++ {
+		l0.record(live, prefill, nil, true)
+	}
+	for i := 0; i < 20; i++ {
+		l0.record(live, step, nil, false)
+		l1.record(live, step, nil, false)
+		if st := l0.gate.State(); st != health.Healthy {
+			t.Fatalf("after %d steps b0 = %v (%+v), want healthy", i+1, st, hs.Snapshot()["b0"])
+		}
+	}
+	l1.record(live, prefill, nil, true)
+	if d := hs.OpDeadline(0, 0); d != 4*prefill {
+		t.Errorf("OpDeadline = %v, want 4 × the 13 ms prefill", d)
+	}
+
+	if _, err := e.enqueue(live, Request{Tenant: "a", Prompt: unitPrompt, MaxTokens: 4}); err != nil {
+		t.Fatal(err)
+	}
+	l0.iterate()
+	if n := l0.activeN.Load(); n != 1 {
+		t.Errorf("b0 holds %d requests, want the 1 it should admit", n)
+	}
+	for name, eh := range hs.Snapshot() {
+		if eh.State != "healthy" {
+			t.Errorf("%s = %+v, want healthy", name, eh)
+		}
+	}
+	if rq := e.Stats().Requeued; rq != 0 {
+		t.Errorf("requeued = %d, want 0", rq)
 	}
 }
 
@@ -228,7 +285,7 @@ func TestStreakTripQuarantinesBeforeMinSamples(t *testing.T) {
 		t.Fatalf("active = %d on b0, want 2", n)
 	}
 	for i := 0; i < e.cfg.BreakerThreshold; i++ {
-		l.record(context.Background(), time.Millisecond, context.DeadlineExceeded)
+		l.record(context.Background(), time.Millisecond, context.DeadlineExceeded, false)
 	}
 	if eh := hs.Snapshot()["b0"]; eh.State != "quarantined" || eh.Samples >= 8 {
 		t.Fatalf("b0 = %+v, want quarantined below MinSamples", eh)

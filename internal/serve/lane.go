@@ -291,7 +291,7 @@ func (l *lane) prefill(ar *activeReq) bool {
 	if err != nil {
 		// A session that cannot even be created is a judged failure, not
 		// a silent one.
-		l.record(ar.tctx, l.e.clock.Now().Sub(s0), err)
+		l.record(ar.tctx, l.e.clock.Now().Sub(s0), err, true)
 		l.fail(ar, err)
 		return false
 	}
@@ -309,7 +309,7 @@ func (l *lane) prefill(ar *activeReq) bool {
 	first, err := sess.PrefillCtx(opctx, prompt)
 	cancel()
 	pspan.End()
-	l.record(ar.tctx, l.e.clock.Now().Sub(t0), err)
+	l.record(ar.tctx, l.e.clock.Now().Sub(t0), err, true)
 	if err != nil {
 		l.fail(ar, err)
 		return false
@@ -341,7 +341,7 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 	cancel()
 	d := l.e.clock.Now().Sub(t0)
 	l.e.stats.recordStep(d)
-	l.record(ar.tctx, d, err)
+	l.record(ar.tctx, d, err, false)
 	if err != nil {
 		l.fail(ar, err)
 		return false, false
@@ -355,21 +355,27 @@ func (l *lane) advance(ar *activeReq) (didStep, stay bool) {
 }
 
 // record feeds one op's outcome to the lane's gate; ctx is the
-// request's own context. A failure counts against the endpoint when it
-// means the backend is lost or speaking garbage; a remote error proves
-// the server alive. Caller-side cancellation, and any error after the
+// request's own context. A prefill's latency stays out of the EWMA that
+// ranks lanes (health.Tracker.ObservePrefill), so lanes are compared on
+// decode steps alone; its outcome counts like any other op's. A failure
+// counts against the endpoint when it means the backend is lost or
+// speaking garbage; a remote error proves the server alive. Caller-side cancellation, and any error after the
 // request's own context is done, says nothing about the endpoint: it
 // resets the streak and is not scored. A per-op timeout still counts,
 // because its parent context is alive. Every op of a lane runs on the
 // lane's goroutine, so the streak needs no lock and no outcome can race
 // a trip.
-func (l *lane) record(ctx context.Context, d time.Duration, err error) {
+func (l *lane) record(ctx context.Context, d time.Duration, err error, prefill bool) {
 	if err != nil && (errors.Is(err, context.Canceled) || ctx != nil && ctx.Err() != nil) {
 		l.streak = 0
 		return
 	}
 	failed := err != nil && (lostBackend(err) || transport.IsFrameError(err))
-	l.gate.Observe(d, failed)
+	if prefill {
+		l.gate.ObservePrefill(d, failed)
+	} else {
+		l.gate.Observe(d, failed)
+	}
 	if !failed {
 		l.streak = 0
 		return

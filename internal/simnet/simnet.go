@@ -45,6 +45,8 @@ func New() *Sim { return &Sim{} }
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Schedule enqueues fn to run after delay d (>= 0).
+//
+//lint:ignore deadexport test reference: the discrete-event core the simulator tests pin
 func (s *Sim) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -54,6 +56,8 @@ func (s *Sim) Schedule(d time.Duration, fn func()) {
 }
 
 // Run processes events until the queue drains, returning the final time.
+//
+//lint:ignore deadexport test reference: the discrete-event core the simulator tests pin
 func (s *Sim) Run() time.Duration {
 	for s.queue.Len() > 0 {
 		e := heap.Pop(&s.queue).(event)
@@ -90,6 +94,8 @@ func (r *Resource) ReserveAt(at, dur time.Duration) (start, end time.Duration) {
 }
 
 // Busy returns accumulated busy time (the GPU-utilization numerator).
+//
+//lint:ignore deadexport test reference: utilization numerator checked by simulator tests
 func (r *Resource) Busy() time.Duration { return r.busy }
 
 // FreeAt returns when the resource next becomes idle.

@@ -102,6 +102,8 @@ type CostHints struct {
 }
 
 // Intensity returns operational intensity in FLOPs/byte (0 if unknown).
+//
+//lint:ignore deadexport test reference: operational intensity the cost-hint tests pin
 func (c CostHints) Intensity() float64 {
 	if c.Bytes == 0 {
 		return 0
@@ -140,6 +142,8 @@ func dtypeSize(d uint8) int {
 }
 
 // NumElements returns the element count.
+//
+//lint:ignore deadexport test reference: element count the SRG metadata tests pin
 func (m TensorMeta) NumElements() int64 {
 	n := int64(1)
 	for _, d := range m.Shape {
@@ -392,43 +396,6 @@ func (g *Graph) AncestorsOf(roots ...NodeID) map[NodeID]bool {
 		stack = append(stack, g.Node(id).Inputs...)
 	}
 	return seen
-}
-
-// DescendantsOf returns the transitive consumer closure of the given
-// roots (including the roots themselves).
-func (g *Graph) DescendantsOf(roots ...NodeID) map[NodeID]bool {
-	consumers := g.Consumers()
-	seen := make(map[NodeID]bool)
-	stack := append([]NodeID(nil), roots...)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] || g.Node(id) == nil {
-			continue
-		}
-		seen[id] = true
-		stack = append(stack, consumers[id]...)
-	}
-	return seen
-}
-
-// ByPhase groups node IDs by phase, preserving topological order within
-// each group.
-func (g *Graph) ByPhase() map[Phase][]NodeID {
-	out := make(map[Phase][]NodeID)
-	for _, n := range g.nodes {
-		out[n.Phase] = append(out[n.Phase], n.ID)
-	}
-	return out
-}
-
-// ByModule groups node IDs by module path.
-func (g *Graph) ByModule() map[string][]NodeID {
-	out := make(map[string][]NodeID)
-	for _, n := range g.nodes {
-		out[n.Module] = append(out[n.Module], n.ID)
-	}
-	return out
 }
 
 // Params returns the IDs of all parameter leaves in ID order.

@@ -121,9 +121,8 @@ func TestAncestorsDescendants(t *testing.T) {
 	if !anc[a] || !anc[in] || anc[b] || anc[out] {
 		t.Errorf("ancestors of a: %v", anc)
 	}
-	desc := g.DescendantsOf(a)
-	if !desc[a] || !desc[out] || desc[in] || desc[b] {
-		t.Errorf("descendants of a: %v", desc)
+	if desc := g.Consumers()[a]; len(desc) != 1 || desc[0] != out {
+		t.Errorf("consumers of a: %v", desc)
 	}
 }
 
@@ -134,19 +133,16 @@ func TestByPhaseByModuleParams(t *testing.T) {
 	mm := g.MustAdd(&Node{Op: "matmul", Inputs: []NodeID{x, w}, Module: "net.fc", Phase: PhaseLLMPrefill})
 	d := g.MustAdd(&Node{Op: "argmax_last", Inputs: []NodeID{mm}, Phase: PhaseLLMDecode})
 
-	byPhase := g.ByPhase()
-	if len(byPhase[PhaseLLMPrefill]) != 2 || len(byPhase[PhaseLLMDecode]) != 1 {
-		t.Errorf("byPhase %v", byPhase)
+	if n := g.Node(mm); n.Phase != PhaseLLMPrefill || n.Module != "net.fc" {
+		t.Errorf("matmul phase %v module %q", n.Phase, n.Module)
 	}
-	byMod := g.ByModule()
-	if len(byMod["net.fc"]) != 2 {
-		t.Errorf("byModule %v", byMod)
+	if n := g.Node(d); n.Phase != PhaseLLMDecode || n.Module != "" {
+		t.Errorf("argmax phase %v module %q", n.Phase, n.Module)
 	}
 	params := g.Params()
 	if len(params) != 1 || params[0] != w {
 		t.Errorf("params %v", params)
 	}
-	_ = d
 }
 
 func TestTotalCost(t *testing.T) {

@@ -59,25 +59,6 @@ func (d DType) String() string {
 	return fmt.Sprintf("dtype(%d)", uint8(d))
 }
 
-// ParseDType converts the String form back to a DType.
-func ParseDType(s string) (DType, error) {
-	switch s {
-	case "f32":
-		return F32, nil
-	case "f16":
-		return F16, nil
-	case "i64":
-		return I64, nil
-	case "i32":
-		return I32, nil
-	case "u8":
-		return U8, nil
-	case "i8":
-		return I8, nil
-	}
-	return 0, fmt.Errorf("tensor: unknown dtype %q", s)
-}
-
 // F16FromF32 converts a float32 to IEEE 754 half-precision bits with
 // round-to-nearest-even. Out-of-range values clamp to ±Inf.
 func F16FromF32(f float32) uint16 {

@@ -51,6 +51,8 @@ func (m Meta) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadMeta decodes a descriptor written by WriteTo.
+//
+//lint:ignore deadexport descriptor codec only tests exercise; next deadexport batch
 func ReadMeta(r io.Reader) (Meta, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -79,69 +81,6 @@ func ReadMeta(r io.Reader) (Meta, error) {
 }
 
 // EncodedLen returns the number of bytes WriteTo will produce.
+//
+//lint:ignore deadexport descriptor codec only tests exercise; next deadexport batch
 func (m Meta) EncodedLen() int { return 2 + 4*len(m.Shape) }
-
-// Write serializes a full tensor (meta + payload) to w. I8 tensors carry
-// a trailing scale section (u8 axis, u32 count, count×f32) so quantized
-// weights survive checkpointing; the count is 0 for unscaled int8 data.
-// Pre-I8 encodings are unchanged byte for byte.
-func Write(w io.Writer, t *Tensor) error {
-	if _, err := MetaOf(t).WriteTo(w); err != nil {
-		return err
-	}
-	if _, err := w.Write(t.Bytes()); err != nil {
-		return err
-	}
-	if t.DType() != I8 {
-		return nil
-	}
-	sc := t.Scales()
-	buf := make([]byte, 5+4*len(sc))
-	buf[0] = byte(t.QuantAxis())
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(sc)))
-	for i, s := range sc {
-		binary.LittleEndian.PutUint32(buf[5+4*i:], f32bits(s))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// Read deserializes a tensor written by Write.
-func Read(r io.Reader) (*Tensor, error) {
-	m, err := ReadMeta(r)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, m.Bytes())
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	t, err := FromBytes(m.DType, m.Shape, data)
-	if err != nil || m.DType != I8 {
-		return t, err
-	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	axis := int(hdr[0])
-	n := int(binary.LittleEndian.Uint32(hdr[1:]))
-	if n == 0 {
-		return t, nil
-	}
-	if axis >= m.Shape.Rank() || n != m.Shape[axis] {
-		return nil, fmt.Errorf("tensor: %d scales for axis %d of %v", n, axis, m.Shape)
-	}
-	raw := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, err
-	}
-	scales := make([]float32, n)
-	for i := range scales {
-		scales[i] = f32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	if err := t.AttachScales(axis, scales); err != nil {
-		return nil, err
-	}
-	return t, nil
-}

@@ -60,6 +60,8 @@ func (s Shape) String() string {
 }
 
 // Strides returns row-major (C-contiguous) strides in elements.
+//
+//lint:ignore deadexport test reference: row-major stride helper pinned by tensor tests
 func (s Shape) Strides() []int {
 	st := make([]int, len(s))
 	acc := 1

@@ -168,12 +168,6 @@ func (t *Tensor) I32() []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&t.data[0])), t.NumElements())
 }
 
-// U8 returns the backing store for a U8 tensor.
-func (t *Tensor) U8() []byte {
-	t.mustBe(U8)
-	return t.data
-}
-
 // I8 reinterprets the backing store as []int8.
 func (t *Tensor) I8() []int8 {
 	t.mustBe(I8)
@@ -366,6 +360,8 @@ func (t *Tensor) RandN(rng *rand.Rand, sd float32) {
 
 // AllClose reports whether two tensors have the same shape and elementwise
 // |a-b| <= atol + rtol*|b|.
+//
+//lint:ignore deadexport test reference: the float comparison every kernel test uses
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if !a.shape.Equal(b.shape) {
 		return false

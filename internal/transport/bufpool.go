@@ -89,6 +89,8 @@ func (p *BufferPool) Put(b []byte) {
 // NewTensor allocates a tensor directly in pinned pool memory — the
 // proactive-allocation path: the tensor's backing store IS the wire
 // buffer.
+//
+//lint:ignore deadexport ROADMAP item 10 puts pooled tensors on the serving path
 func (p *BufferPool) NewTensor(dt tensor.DType, shape ...int) *tensor.Tensor {
 	s := tensor.Shape(shape)
 	n := s.NumElements() * dt.Size()
@@ -106,6 +108,8 @@ func (p *BufferPool) NewTensor(dt tensor.DType, shape ...int) *tensor.Tensor {
 // PinReactively copies an unpinned tensor into pool memory — the
 // reactive pin_memory() path the paper's design avoids. It exists so the
 // ablation bench can measure the copy it costs.
+//
+//lint:ignore deadexport ROADMAP item 10 puts pooled tensors on the serving path
 func (p *BufferPool) PinReactively(t *tensor.Tensor) *tensor.Tensor {
 	if t.Pinned() {
 		return t

@@ -243,6 +243,8 @@ func (c *Client) execOnce(ctx context.Context, x *Exec) (*ExecOK, error) {
 // (tampering, misrouting, or a buggy proxy) and is returned as an error
 // with the results discarded. The graph always travels whole, never as a
 // resident plan: the graph on the wire is what the server attests.
+//
+//lint:ignore deadexport paper mechanism: the §5 attestation, demonstrated by tests
 func (c *Client) ExecVerified(x *Exec) (*ExecOK, error) {
 	want := x.Graph.Fingerprint()
 	whole := *x
@@ -289,6 +291,8 @@ func (c *Client) Free(key string) error {
 }
 
 // Crash injects a server failure (drops all resident state).
+//
+//lint:ignore deadexport test fake: drops a remote server's state over the wire
 func (c *Client) Crash() error {
 	t, _, err := c.conn.Call(MsgCrash, nil)
 	if err != nil {

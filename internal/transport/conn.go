@@ -132,9 +132,6 @@ func (c *Conn) Features() uint32 { return c.feat.Load() }
 // across conns; nil detaches).
 func (c *Conn) SetTelemetry(t *Telemetry) { c.tel = t }
 
-// Telemetry returns the attached per-kind accounting (nil when none).
-func (c *Conn) Telemetry() *Telemetry { return c.tel }
-
 // Close closes the underlying socket.
 func (c *Conn) Close() error {
 	c.dead.Store(true)
@@ -143,9 +140,13 @@ func (c *Conn) Close() error {
 
 // Dead reports whether the conn has been closed or poisoned by a failed
 // round trip. A dead conn cannot be revived; callers should redial.
+//
+//lint:ignore deadexport test observation: conn-poisoning tests read it
 func (c *Conn) Dead() bool { return c.dead.Load() }
 
 // Send writes one untraced frame.
+//
+//lint:ignore deadexport test reference: raw-frame tests write untraced frames
 func (c *Conn) Send(t MsgType, payload []byte) error {
 	return c.SendEnv(t, Envelope{}, payload)
 }

@@ -18,6 +18,8 @@ var encPool = NewBufferPool(32)
 
 // EncPoolStats exposes the encode scratch pool's counters (benchmarks
 // and tests assert reuse on the steady-state path).
+//
+//lint:ignore deadexport test observation: encode-pool reuse tests read its counters
 func EncPoolStats() PoolStats { return encPool.Stats() }
 
 // ReleaseEncoded returns a buffer obtained from EncodeUploadPooled or

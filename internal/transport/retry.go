@@ -99,6 +99,8 @@ func IsStateLoss(err error) bool {
 // The zero value is usable: 4 attempts, 5ms base doubling to a 500ms
 // cap, ±20% jitter from a fixed seed so test and bench runs are
 // reproducible. Only Retryable-classed errors are retried by default.
+//
+//lint:ignore deadexport ROADMAP item 15 redials dead conns with this backoff
 type Retrier struct {
 	// Max is the total number of attempts, including the first
 	// (default 4; 1 disables retry).

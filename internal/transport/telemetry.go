@@ -59,6 +59,8 @@ func (t *Telemetry) onCall(mt MsgType) {
 
 // SentBytes returns the accounted bytes written for one kind (tests,
 // eval summaries).
+//
+//lint:ignore deadexport test observation: per-kind byte accounting tests read it
 func (t *Telemetry) SentBytes(mt MsgType) int64 {
 	if t == nil || int(mt) >= maxKind || mt == 0 {
 		return 0
@@ -67,6 +69,8 @@ func (t *Telemetry) SentBytes(mt MsgType) int64 {
 }
 
 // RecvBytes returns the accounted bytes read for one kind.
+//
+//lint:ignore deadexport test observation: per-kind byte accounting tests read it
 func (t *Telemetry) RecvBytes(mt MsgType) int64 {
 	if t == nil || int(mt) >= maxKind || mt == 0 {
 		return 0

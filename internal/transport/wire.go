@@ -140,6 +140,8 @@ func (e Envelope) wireSize(payload int) int64 {
 
 // WriteFrame writes one untraced length-prefixed frame: u32 len |
 // u8 type | payload.
+//
+//lint:ignore deadexport test reference: raw-frame tests write untraced frames
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return WriteFrameEnv(w, t, Envelope{}, payload)
 }
@@ -170,6 +172,8 @@ func WriteFrameEnv(w io.Writer, t MsgType, env Envelope, payload []byte) error {
 }
 
 // ReadFrame reads one frame, discarding any trace envelope.
+//
+//lint:ignore deadexport test reference: raw-frame tests read untraced frames
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	t, _, payload, err := ReadFrameEnv(r)
 	return t, payload, err
@@ -409,6 +413,8 @@ type Upload struct {
 }
 
 // EncodeUpload serializes an Upload payload.
+//
+//lint:ignore deadexport test reference: codec round-trip and fuzz tests encode uploads
 func EncodeUpload(u *Upload) []byte {
 	var e buf
 	e.str(u.Key)
@@ -487,6 +493,8 @@ type Exec struct {
 }
 
 // EncodeExec serializes an Exec payload: u32 len | graph | tail.
+//
+//lint:ignore deadexport test reference: codec round-trip and fuzz tests encode execs
 func EncodeExec(x *Exec) ([]byte, error) {
 	w := &sliceWriter{}
 	if err := x.Graph.Encode(w); err != nil {

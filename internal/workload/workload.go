@@ -1,13 +1,11 @@
 // Package workload generates deterministic request streams for the
-// evaluation: LLM serving traces (prompt + decode lengths, arrivals),
-// vision batches, recommendation queries with Zipf-skewed (hot/cold)
-// embedding access, and multi-tenant mixes for the global scheduler.
+// evaluation: LLM serving traces (prompt + decode lengths, arrivals) and
+// recommendation queries with Zipf-skewed (hot/cold) embedding access.
 // Everything is seeded — reruns are bit-identical.
 package workload
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -74,39 +72,6 @@ func PoissonArrivals(seed int64, rate float64, n int) []time.Duration {
 	for i := range out {
 		clock += time.Duration(rng.ExpFloat64() * mean)
 		out[i] = clock
-	}
-	return out
-}
-
-// VisionRequest is one image-classification request.
-type VisionRequest struct {
-	// Image is [c, h, w] pixel data in [0,1).
-	Image   []float32
-	C, H, W int
-	Arrival time.Duration
-}
-
-// VisionTrace parameterizes a CV batch.
-type VisionTrace struct {
-	Requests         int
-	Channels, Size   int
-	MeanInterarrival time.Duration
-}
-
-// Generate materializes the trace.
-func (t VisionTrace) Generate(seed int64) []VisionRequest {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]VisionRequest, t.Requests)
-	var clock time.Duration
-	for i := range out {
-		img := make([]float32, t.Channels*t.Size*t.Size)
-		for j := range img {
-			img[j] = rng.Float32()
-		}
-		if t.MeanInterarrival > 0 {
-			clock += time.Duration(rng.ExpFloat64() * float64(t.MeanInterarrival))
-		}
-		out[i] = VisionRequest{Image: img, C: t.Channels, H: t.Size, W: t.Size, Arrival: clock}
 	}
 	return out
 }
@@ -187,57 +152,4 @@ func HotSetFraction(reqs []RecRequest, tableRows []int, fraction float64) float6
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// TenantSpec describes one tenant in a multi-tenant mix.
-type TenantSpec struct {
-	Name string
-	// Class selects the workload family: "llm", "vision",
-	// "recommendation", or "multimodal".
-	Class string
-	// Interactive marks latency-sensitive tenants (vs batch).
-	Interactive bool
-	// Requests in the mix window.
-	Requests int
-}
-
-// MixTrace generates a deterministic multi-tenant arrival schedule: a
-// merged, time-ordered list of (tenant, arrival) pairs the global
-// scheduler consumes.
-type MixTrace struct {
-	Tenants          []TenantSpec
-	MeanInterarrival time.Duration
-}
-
-// MixArrival is one request in the merged schedule.
-type MixArrival struct {
-	Tenant      string
-	Class       string
-	Interactive bool
-	Arrival     time.Duration
-}
-
-// Generate materializes the merged schedule, sorted by arrival.
-func (m MixTrace) Generate(seed int64) []MixArrival {
-	rng := rand.New(rand.NewSource(seed))
-	var out []MixArrival
-	for _, t := range m.Tenants {
-		var clock time.Duration
-		for i := 0; i < t.Requests; i++ {
-			if m.MeanInterarrival > 0 {
-				clock += time.Duration(rng.ExpFloat64() * float64(m.MeanInterarrival))
-			}
-			out = append(out, MixArrival{
-				Tenant: t.Name, Class: t.Class,
-				Interactive: t.Interactive, Arrival: clock,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
-		}
-		return out[i].Tenant < out[j].Tenant
-	})
-	return out
 }

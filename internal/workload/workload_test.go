@@ -72,24 +72,6 @@ func TestArrivalsMonotone(t *testing.T) {
 	}
 }
 
-func TestVisionTrace(t *testing.T) {
-	tr := VisionTrace{Requests: 5, Channels: 3, Size: 8}
-	reqs := tr.Generate(2)
-	if len(reqs) != 5 {
-		t.Fatalf("%d requests", len(reqs))
-	}
-	for _, r := range reqs {
-		if len(r.Image) != 3*8*8 {
-			t.Fatalf("image len %d", len(r.Image))
-		}
-		for _, p := range r.Image {
-			if p < 0 || p >= 1 {
-				t.Fatal("pixels must be in [0,1)")
-			}
-		}
-	}
-}
-
 func TestRecTraceZipfSkew(t *testing.T) {
 	tr := RecTrace{
 		Requests: 500, DenseFeatures: 4,
@@ -130,39 +112,6 @@ func TestTracePropertyRequestCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMixTraceMergedAndOrdered(t *testing.T) {
-	m := MixTrace{
-		Tenants: []TenantSpec{
-			{Name: "a", Class: "llm", Interactive: true, Requests: 5},
-			{Name: "b", Class: "vision", Requests: 3},
-		},
-		MeanInterarrival: time.Millisecond,
-	}
-	out := m.Generate(4)
-	if len(out) != 8 {
-		t.Fatalf("%d arrivals", len(out))
-	}
-	var prev time.Duration
-	counts := map[string]int{}
-	for _, a := range out {
-		if a.Arrival < prev {
-			t.Fatal("arrivals not sorted")
-		}
-		prev = a.Arrival
-		counts[a.Tenant]++
-	}
-	if counts["a"] != 5 || counts["b"] != 3 {
-		t.Errorf("per-tenant counts %v", counts)
-	}
-	// Determinism.
-	again := m.Generate(4)
-	for i := range out {
-		if out[i] != again[i] {
-			t.Fatal("mix trace not deterministic")
-		}
 	}
 }
 
