@@ -19,9 +19,9 @@ import (
 // printWire measures the raw-speed tier (DESIGN.md §11) live: the
 // quantized decode-step kernels against f32, and bytes-on-wire for the
 // blind disaggregation modes with and without the negotiated wire
-// features (dedup + delta + compression). Real kernels, real framed
-// bytes over an in-process pipe — wall-clock CPU numbers, not the
-// tables' modeled GPU times.
+// features (dedup + compression + resident plans). Real kernels, real
+// framed bytes over an in-process pipe — wall-clock CPU numbers, not
+// the tables' modeled GPU times.
 func printWire() {
 	fmt.Println("== W: raw-speed tier (quantized kernels + wire features) ==")
 	printWireKernels()
@@ -110,9 +110,10 @@ func printWireBytes() {
 		fpt := float64(featB) / float64(featTok)
 		fmt.Printf("%-16s %14.0f %14.0f %8.1fx\n", m, lpt, fpt, lpt/fpt)
 	}
-	fmt.Println("(8 decode steps over TinyGPT on an in-process pipe; feats = dedup + delta +")
-	fmt.Println(" compression negotiated via MsgHello. Naive mode re-ships every weight per")
-	fmt.Println(" call, so dedup collapses repeats to 32-byte refs — the reduction shrinks")
-	fmt.Println(" toward compression-only as runs lengthen past the first full send)")
+	fmt.Println("(8 decode steps over TinyGPT on an in-process pipe; feats = dedup +")
+	fmt.Println(" compression + resident plans negotiated via MsgHello. Naive mode")
+	fmt.Println(" re-ships every weight per call, so dedup collapses repeats to 32-byte")
+	fmt.Println(" refs — the reduction shrinks toward compression-only as runs lengthen")
+	fmt.Println(" past the first full send)")
 	fmt.Println()
 }

@@ -130,7 +130,7 @@ func main() {
 		"disaggregate prefill/decode across exactly two -backends: the first "+
 			"runs prefill, the second holds decode KV (semantics_aware mode only)")
 	wireCompress := flag.Bool("wire-compress", false,
-		"negotiate wire features (compression, dedup, delta uploads) with each backend; "+
+		"negotiate wire features (compression, dedup, resident plans) with each backend; "+
 			"backends that refuse stay on the legacy protocol")
 	healthOn := flag.Bool("health", true,
 		"graded fail-slow health scoring on every lane: Suspect lanes demote, "+

@@ -50,7 +50,7 @@ func main() {
 		"weight quantization policy applied at upload admission: off, int8, f16 "+
 			"(rank-2 f32 tensors under *.w keys are stored in the cheap dtype)")
 	wireCompress := flag.Bool("wire-compress", true,
-		"offer wire features (compression, dedup, delta uploads) to clients that negotiate; "+
+		"offer wire features (compression, dedup, resident plans) to clients that negotiate; "+
 			"false pins every connection to the legacy byte-identical protocol")
 	flag.Parse()
 

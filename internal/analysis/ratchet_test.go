@@ -12,7 +12,7 @@ import (
 // fails here, and one that removes exceptions must lower the pin, so
 // the next change cannot quietly spend them again.
 var ignoreBudget = map[string]int{
-	"deadexport": 56,
+	"deadexport": 52,
 }
 
 // TestIgnoreRatchet counts the directives in every non-test file the

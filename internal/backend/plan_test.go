@@ -56,7 +56,7 @@ func (c *tapConn) frames(t *testing.T) []sent {
 	c.mu.Unlock()
 	var out []sent
 	for r.Len() > 0 {
-		mt, p, err := transport.ReadFrame(r)
+		mt, _, p, _, err := transport.ReadFrameEnv(r)
 		if err != nil {
 			t.Fatalf("tap: %v", err)
 		}

@@ -156,41 +156,6 @@ func (s *Server) handle(conn *transport.Conn, plans []*srg.Graph, t transport.Ms
 			return fail(err)
 		}
 		return transport.MsgUploadOK, transport.EncodeUploadOK(ack)
-	case transport.MsgUploadDelta:
-		u, err := transport.DecodeUploadDelta(payload)
-		if err != nil {
-			return fail(err)
-		}
-		base, err := s.Lookup(u.Key, 0)
-		if err != nil {
-			return fail(fmt.Errorf("backend: delta base missing: %w", err))
-		}
-		// A quantization policy rewrites resident bytes, so the client's
-		// f32 base no longer exists server-side; the meta check catches
-		// that (and any shape change) and forces a full re-upload.
-		if base.DType() != u.DType || !base.Shape().Equal(u.Shape) {
-			return fail(fmt.Errorf("backend: delta base mismatch: resident %s%v, delta %s%v",
-				base.DType(), base.Shape(), u.DType, u.Shape))
-		}
-		raw, err := transport.ApplyDelta(base.Bytes(), u.Delta)
-		if err != nil {
-			return fail(err)
-		}
-		data, err := tensor.FromBytes(u.DType, u.Shape, raw)
-		if err != nil {
-			return fail(err)
-		}
-		if transport.ContentHash(data) != u.Hash {
-			return fail(fmt.Errorf("backend: delta base mismatch: reconstruction hash differs"))
-		}
-		if conn.Features()&transport.FeatDedup != 0 {
-			s.rememberContent(data)
-		}
-		ack, err := s.Upload(u.Key, data)
-		if err != nil {
-			return fail(err)
-		}
-		return transport.MsgUploadOK, transport.EncodeUploadOK(ack)
 	case transport.MsgExec, transport.MsgExecPlan:
 		// A plan frame names a graph resident in one of the connection's
 		// slots; past the decode it is the same exec.

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"genie/internal/device"
@@ -13,9 +14,9 @@ import (
 )
 
 // End-to-end tests for the negotiated wire tier (DESIGN.md §11) over an
-// in-process pipe: feature grants, dedup refs, delta uploads, frame
-// compression, crash recovery, and — the load-bearing invariant — byte
-// identity with the legacy protocol when features stay off.
+// in-process pipe: feature grants, dedup refs, frame compression, crash
+// recovery, and — the load-bearing invariant — byte identity with the
+// legacy protocol when features stay off.
 
 // wirePair starts a server goroutine over a pipe and returns a client
 // plus its traffic counters.
@@ -37,17 +38,54 @@ func bigTensor(seed int64, dims ...int) *tensor.Tensor {
 
 func TestNegotiateGrantsIntersection(t *testing.T) {
 	srv := NewServer(device.A100)
-	srv.SetWireFeatures(transport.FeatDedup | transport.FeatDelta)
+	srv.SetWireFeatures(transport.FeatDedup | transport.FeatPlan)
 	client, _ := wirePair(t, srv)
 	granted, err := client.Negotiate(nil, transport.FeatAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if granted != transport.FeatDedup|transport.FeatDelta {
-		t.Fatalf("granted %#x, want dedup|delta", granted)
+	if granted != transport.FeatDedup|transport.FeatPlan {
+		t.Fatalf("granted %#x, want dedup|plan", granted)
 	}
 	if got := client.Conn().Features(); got != granted {
 		t.Fatalf("conn features %#x != granted %#x", got, granted)
+	}
+}
+
+// TestRetiredFeatureBitIsNotGranted: a Hello asking for the retired
+// delta bit (1<<2) alongside every live feature gets the live ones only.
+func TestRetiredFeatureBitIsNotGranted(t *testing.T) {
+	client, _ := wirePair(t, NewServer(device.A100))
+	granted, err := client.Negotiate(nil, transport.FeatAll|1<<2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if granted != transport.FeatAll {
+		t.Fatalf("granted %#x, want FeatAll %#x without 1<<2", granted, transport.FeatAll)
+	}
+}
+
+// TestRetiredUploadDeltaFrameIsUnknown: the retired MsgUploadDelta number
+// reaches no handler. The server answers it as an unknown message and
+// the connection stays usable.
+func TestRetiredUploadDeltaFrameIsUnknown(t *testing.T) {
+	client, _ := wirePair(t, NewServer(device.A100))
+	conn := client.Conn()
+	if err := conn.SendEnv(transport.MsgUploadDelta, transport.Envelope{}, []byte{0, 2, 'k', 'v'}); err != nil {
+		t.Fatal(err)
+	}
+	mt, _, p, err := conn.RecvEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt != transport.MsgErr {
+		t.Fatalf("reply type %d, want MsgErr", mt)
+	}
+	if msg := transport.DecodeErr(p).Error(); !strings.Contains(msg, "unknown message type") {
+		t.Fatalf("reply %q, want an unknown message type error", msg)
+	}
+	if _, err := client.Ping(); err != nil {
+		t.Fatalf("ping after the retired frame: %v", err)
 	}
 }
 
@@ -76,41 +114,6 @@ func TestDedupSecondUploadIsHashSized(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), w.Bytes()) {
 		t.Fatal("dedup-stored tensor differs from the original")
-	}
-}
-
-func TestDeltaUploadShipsOnlyChangedRuns(t *testing.T) {
-	srv := NewServer(device.A100)
-	srv.SetWireFeatures(transport.FeatDelta) // isolate the delta path
-	client, ctr := wirePair(t, srv)
-	if _, err := client.Negotiate(nil, transport.FeatAll); err != nil {
-		t.Fatal(err)
-	}
-	w := bigTensor(2, 64, 256) // 64 KiB
-	if _, err := client.Upload("kv", w); err != nil {
-		t.Fatal(err)
-	}
-	// Touch a handful of values; everything else XORs to zero runs.
-	next := w.Clone()
-	f := next.F32()
-	for i := 0; i < 5; i++ {
-		f[i*1000] += 1
-	}
-	sent0, _, _ := ctr.Snapshot()
-	if _, err := client.Upload("kv", next); err != nil {
-		t.Fatal(err)
-	}
-	sent1, _, _ := ctr.Snapshot()
-	deltaBytes := sent1 - sent0
-	if deltaBytes > int64(next.NumBytes())/8 {
-		t.Fatalf("delta upload cost %d bytes, want well under %d/8", deltaBytes, next.NumBytes())
-	}
-	got, err := client.Fetch("kv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), next.Bytes()) {
-		t.Fatal("delta-reconstructed tensor differs")
 	}
 }
 

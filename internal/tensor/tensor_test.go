@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,36 +187,6 @@ func TestShapeStrides(t *testing.T) {
 		if st[i] != want[i] {
 			t.Fatalf("strides = %v, want %v", st, want)
 		}
-	}
-}
-
-func TestMetaSerializationRoundTrip(t *testing.T) {
-	m := Meta{DType: F16, Shape: Shape{5, 7, 9}}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != m.EncodedLen() {
-		t.Errorf("encoded %d bytes, EncodedLen says %d", buf.Len(), m.EncodedLen())
-	}
-	back, err := ReadMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(m) {
-		t.Errorf("round trip %v -> %v", m, back)
-	}
-}
-
-func TestMetaRejectsGarbage(t *testing.T) {
-	if _, err := ReadMeta(bytes.NewReader([]byte{200, 1, 0, 0, 0, 0})); err == nil {
-		t.Error("invalid dtype byte should error")
-	}
-	if _, err := ReadMeta(bytes.NewReader([]byte{0, 200})); err == nil {
-		t.Error("huge rank should error")
-	}
-	if _, err := ReadMeta(bytes.NewReader([]byte{0, 1, 0, 0, 0, 0})); err == nil {
-		t.Error("zero dim should error")
 	}
 }
 

@@ -16,15 +16,13 @@ import (
 type Client struct {
 	conn *Conn
 
-	// Dedup/delta bookkeeping (client_feat.go), active only after
-	// Negotiate grants FeatDedup/FeatDelta. Guarded by dmu — separate
-	// from the conn's frame lock so hashing never serializes I/O.
-	dmu       sync.Mutex
-	epoch     uint32
-	sent      map[[HashSize]byte]struct{}
-	hashes    map[*tensor.Tensor][HashSize]byte
-	prev      map[string]prevVersion
-	prevBytes int64
+	// Dedup bookkeeping (client_feat.go), active only after Negotiate
+	// grants FeatDedup. Guarded by dmu — separate from the conn's frame
+	// lock so hashing never serializes I/O.
+	dmu    sync.Mutex
+	epoch  uint32
+	sent   map[[HashSize]byte]struct{}
+	hashes map[*tensor.Tensor][HashSize]byte
 
 	// Resident-plan state (plan.go). helloed is set once the connection
 	// has been through a MsgHello, whoever asked; plans mirrors the
@@ -72,50 +70,27 @@ func (c *Client) Upload(key string, data *tensor.Tensor) (*UploadOK, error) {
 // span wraps the round trip and rides the wire envelope. A nil or
 // untraced ctx degrades to the plain path.
 //
-// On feature-negotiated connections the upload takes the cheapest
-// representation the server can accept: a 32-byte content-hash ref
-// when the server has already seen these exact bytes (FeatDedup), an
-// XOR/run-length delta against the key's previous version when most
-// bytes are unchanged (FeatDelta), and a full payload otherwise. A
-// server that lost the referenced state (crash between calls) rejects
-// the cheap form with a recoverable error and the client falls back to
-// the full upload — correctness never depends on the caches agreeing.
+// On a connection granted FeatDedup the upload is a 32-byte
+// content-hash ref when the server has already seen these exact bytes,
+// and the full payload otherwise. A server that lost the referenced
+// bytes (crash between calls) rejects the ref with a recoverable error
+// and the client falls back to the full upload — correctness never
+// depends on the caches agreeing.
 func (c *Client) UploadCtx(ctx context.Context, key string, data *tensor.Tensor) (*UploadOK, error) {
-	feats := c.conn.Features()
-	if feats&(FeatDedup|FeatDelta) == 0 {
+	if c.conn.Features()&FeatDedup == 0 {
 		return c.uploadFullCtx(ctx, key, data, [HashSize]byte{}, false)
 	}
 	h := c.hashOf(data)
-	if feats&FeatDedup != 0 && c.hasSent(h) {
-		ack, err := c.uploadRefCtx(ctx, key, h)
+	if c.hasSent(h) {
+		ack, err := c.uploadCall(ctx, MsgUploadRef, EncodeUploadRef(&UploadRef{Key: key, Hash: h}))
 		if err == nil {
-			c.noteUpload(key, data, h, ack)
+			c.noteUpload(h, ack)
 			return ack, nil
 		}
 		if !isUnknownContent(err) {
 			return nil, err
 		}
 		c.flushDedup() // server lost its cache; resync from scratch
-	}
-	if feats&FeatDelta != 0 && data.DType() != tensor.I8 {
-		if base, ok := c.prevFor(key, tensor.MetaOf(data)); ok {
-			delta := EncodeDelta(base, data.Bytes())
-			// Only worth a round trip when the delta at least halves the
-			// payload; otherwise full upload is simpler and compresses too.
-			if len(delta)*2 < data.NumBytes() {
-				ack, err := c.uploadDeltaCtx(ctx, &UploadDelta{
-					Key: key, DType: data.DType(), Shape: data.Shape(),
-					Delta: delta, Hash: h,
-				})
-				if err == nil {
-					c.noteUpload(key, data, h, ack)
-					return ack, nil
-				}
-				if !isUnknownContent(err) {
-					return nil, err
-				}
-			}
-		}
 	}
 	return c.uploadFullCtx(ctx, key, data, h, true)
 }
@@ -127,22 +102,29 @@ func (c *Client) uploadFullCtx(ctx context.Context, key string, data *tensor.Ten
 	// go back to the pool as soon as the call returns.
 	payload := EncodeUploadPooled(&Upload{Key: key, Data: data})
 	defer ReleaseEncoded(payload)
+	ack, err := c.uploadCall(ctx, MsgUpload, payload)
+	if err == nil && track {
+		c.noteUpload(h, ack)
+	}
+	return ack, err
+}
+
+// uploadCall is one upload round trip in either form, full or ref: a
+// "transport.upload" span wraps it and rides the wire envelope, and the
+// reply must be MsgUploadOK.
+func (c *Client) uploadCall(ctx context.Context, t MsgType, payload []byte) (*UploadOK, error) {
 	_, span := obs.StartSpan(ctx, "transport.upload")
 	span.SetAttrInt("send_bytes", int64(len(payload)))
-	t, p, err := c.conn.CallEnvCtx(ctx, MsgUpload, Envelope{Trace: span.TraceID(), Span: span.SpanID()}, payload)
+	rt, p, err := c.conn.CallEnvCtx(ctx, t, Envelope{Trace: span.TraceID(), Span: span.SpanID()}, payload)
 	span.SetAttrInt("recv_bytes", int64(len(p)))
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	if t != MsgUploadOK {
-		return nil, fmt.Errorf("transport: upload got %d", t)
+	if rt != MsgUploadOK {
+		return nil, fmt.Errorf("transport: %s got %d", KindName(t), rt)
 	}
-	ack, err := DecodeUploadOK(p)
-	if err == nil && track {
-		c.noteUpload(key, data, h, ack)
-	}
-	return ack, err
+	return DecodeUploadOK(p)
 }
 
 // Exec ships a subgraph for remote execution.

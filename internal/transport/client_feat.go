@@ -10,25 +10,12 @@ import (
 )
 
 // Client-side wire feature machinery (DESIGN.md §11): negotiation,
-// the sent-hash set behind upload dedup, previous-version tracking for
-// delta uploads, and the exec-binding rewrite that turns repeated
-// inline weights into 32-byte hash refs. The resident-plan mirror, the
-// fourth feature, is plan.go.
+// the sent-hash set behind upload dedup, and the exec-binding rewrite
+// that turns repeated inline weights into 32-byte hash refs. The
+// resident-plan mirror is plan.go.
 
-// prevVersion is the last payload uploaded under a key, kept so the
-// next same-shape upload can travel as a delta.
-type prevVersion struct {
-	meta tensor.Meta
-	data []byte
-}
-
-const (
-	// maxPrevBytes bounds delta-base memory; past it the tracking
-	// resets (deltas degrade to full uploads, correctness unaffected).
-	maxPrevBytes = 64 << 20
-	// maxHashCache bounds the pointer→hash memo.
-	maxHashCache = 4096
-)
+// maxHashCache bounds the pointer→hash memo.
+const maxHashCache = 4096
 
 // Negotiate requests wire features from the server and installs the
 // granted subset on the connection. Returns the granted mask. Calling
@@ -70,8 +57,7 @@ func isUnknownContent(err error) bool {
 	if !errors.As(err, &re) {
 		return false
 	}
-	return strings.Contains(re.Msg, "unknown content hash") ||
-		strings.Contains(re.Msg, "delta base")
+	return strings.Contains(re.Msg, "unknown content hash")
 }
 
 // hashOf memoizes ContentHash by tensor identity. Weights are immutable
@@ -106,26 +92,22 @@ func (c *Client) hasSent(h [HashSize]byte) bool {
 func (c *Client) flushDedup() {
 	c.dmu.Lock()
 	c.sent = nil
-	c.prev = nil
-	c.prevBytes = 0
 	c.dmu.Unlock()
 }
 
 // noteEpoch reconciles the server's store epoch: a change means a
-// crash wiped resident state, so every sent hash and delta base is
-// gone and the dedup state must restart from nothing.
+// crash wiped resident state, so every sent hash is gone and the dedup
+// state must restart from nothing.
 func (c *Client) noteEpochLocked(epoch uint32) {
 	if epoch != c.epoch {
 		c.epoch = epoch
 		c.sent = nil
-		c.prev = nil
-		c.prevBytes = 0
 	}
 }
 
 // noteUpload records a successful upload: the server now holds these
-// bytes (dedup) and this is the key's delta base.
-func (c *Client) noteUpload(key string, data *tensor.Tensor, h [HashSize]byte, ack *UploadOK) {
+// bytes.
+func (c *Client) noteUpload(h [HashSize]byte, ack *UploadOK) {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
 	c.noteEpochLocked(ack.Epoch)
@@ -133,26 +115,6 @@ func (c *Client) noteUpload(key string, data *tensor.Tensor, h [HashSize]byte, a
 		c.sent = make(map[[HashSize]byte]struct{})
 	}
 	c.sent[h] = struct{}{}
-	// Delta bases are copies (the caller may mutate or release the
-	// tensor later) and quantized tensors are excluded — their scale
-	// section makes byte deltas meaningless.
-	if data.DType() == tensor.I8 {
-		return
-	}
-	if old, ok := c.prev[key]; ok {
-		c.prevBytes -= int64(len(old.data))
-	}
-	if c.prevBytes+int64(data.NumBytes()) > maxPrevBytes {
-		c.prev = nil
-		c.prevBytes = 0
-	}
-	if c.prev == nil {
-		c.prev = make(map[string]prevVersion)
-	}
-	cp := make([]byte, data.NumBytes())
-	copy(cp, data.Bytes())
-	c.prev[key] = prevVersion{meta: tensor.MetaOf(data), data: cp}
-	c.prevBytes += int64(len(cp))
 }
 
 // noteExec records a successful exec that carried cache-hinted inline
@@ -171,18 +133,6 @@ func (c *Client) noteExec(epoch uint32, sent [][HashSize]byte) {
 	for _, h := range sent {
 		c.sent[h] = struct{}{}
 	}
-}
-
-// prevFor returns the delta base for key when one exists with a
-// matching descriptor.
-func (c *Client) prevFor(key string, m tensor.Meta) ([]byte, bool) {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	pv, ok := c.prev[key]
-	if !ok || !pv.meta.Equal(m) {
-		return nil, false
-	}
-	return pv.data, true
 }
 
 // rewriteBinds prepares an Exec's bindings for the negotiated feature
@@ -224,28 +174,4 @@ func (c *Client) rewriteBinds(x *Exec, feats uint32) (_ *Exec, pending [][HashSi
 	x2 := *x
 	x2.Binds = binds
 	return &x2, pending
-}
-
-// uploadRefCtx stores the server-known bytes behind hash under key
-// without resending them.
-func (c *Client) uploadRefCtx(ctx context.Context, key string, h [HashSize]byte) (*UploadOK, error) {
-	t, p, err := c.conn.CallCtx(ctx, MsgUploadRef, EncodeUploadRef(&UploadRef{Key: key, Hash: h}))
-	if err != nil {
-		return nil, err
-	}
-	if t != MsgUploadOK {
-		return nil, fmt.Errorf("transport: upload_ref got %d", t)
-	}
-	return DecodeUploadOK(p)
-}
-
-func (c *Client) uploadDeltaCtx(ctx context.Context, u *UploadDelta) (*UploadOK, error) {
-	t, p, err := c.conn.CallCtx(ctx, MsgUploadDelta, EncodeUploadDelta(u))
-	if err != nil {
-		return nil, err
-	}
-	if t != MsgUploadOK {
-		return nil, fmt.Errorf("transport: upload_delta got %d", t)
-	}
-	return DecodeUploadOK(p)
 }

@@ -196,7 +196,7 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 // conn: after one bad frame the stream's boundaries can no longer be
 // trusted, so continuing to read would desynchronize every later call.
 func (c *Conn) RecvEnv() (MsgType, Envelope, []byte, error) {
-	t, env, payload, wireLen, err := readFrameEnvFeat(c.br)
+	t, env, payload, wireLen, err := ReadFrameEnv(c.br)
 	if err != nil {
 		if IsFrameError(err) {
 			_ = c.Close()

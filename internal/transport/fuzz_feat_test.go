@@ -3,12 +3,10 @@ package transport
 import (
 	"bytes"
 	"testing"
-
-	"genie/internal/tensor"
 )
 
 // Fuzz targets for the negotiated wire features (DESIGN.md §11): the
-// dedup/delta payload decoders, the delta codec, and compressed frames.
+// dedup payload decoder and compressed frames.
 // Same contract as fuzz_test.go — arbitrary bytes must produce typed
 // FrameErrors, never panics or runaway allocation.
 
@@ -27,76 +25,6 @@ func FuzzDecodeUploadRef(f *testing.F) {
 		back, err := DecodeUploadRef(EncodeUploadRef(u))
 		if err != nil || back.Key != u.Key || back.Hash != u.Hash {
 			t.Fatal("upload_ref round trip not stable")
-		}
-	})
-}
-
-func FuzzDecodeUploadDelta(f *testing.F) {
-	prev := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	next := []byte{1, 2, 9, 4, 5, 6, 7, 8}
-	f.Add(EncodeUploadDelta(&UploadDelta{
-		Key: "w", DType: tensor.F32, Shape: tensor.Shape{2},
-		Delta: EncodeDelta(prev, next), Hash: [HashSize]byte{9},
-	}))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := DecodeUploadDelta(data)
-		if err != nil {
-			if !IsFrameError(err) {
-				t.Fatalf("untyped decode error %T: %v", err, err)
-			}
-			return
-		}
-		back, err := DecodeUploadDelta(EncodeUploadDelta(u))
-		if err != nil || back.Key != u.Key || !bytes.Equal(back.Delta, u.Delta) {
-			t.Fatal("upload_delta round trip not stable")
-		}
-	})
-}
-
-func FuzzApplyDelta(f *testing.F) {
-	prev := make([]byte, 64)
-	next := make([]byte, 64)
-	copy(next, prev)
-	next[10], next[40] = 0xaa, 0x55
-	f.Add(prev, EncodeDelta(prev, next))
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, base, delta []byte) {
-		out, err := ApplyDelta(base, delta)
-		if err != nil {
-			if !IsFrameError(err) {
-				t.Fatalf("untyped delta error %T: %v", err, err)
-			}
-			return
-		}
-		if len(out) != len(base) {
-			t.Fatalf("delta output length %d != base length %d", len(out), len(base))
-		}
-	})
-}
-
-// FuzzDeltaRoundTrip drives the codec end-to-end: any (prev, next) pair
-// of equal length must reconstruct exactly.
-func FuzzDeltaRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0}, []byte{0, 1, 0, 2})
-	f.Add(bytes.Repeat([]byte{7}, 100), bytes.Repeat([]byte{7}, 100))
-	f.Fuzz(func(t *testing.T, prev, next []byte) {
-		if len(prev) != len(next) {
-			n := len(prev)
-			if len(next) < n {
-				n = len(next)
-			}
-			prev, next = prev[:n], next[:n]
-		}
-		delta := EncodeDelta(prev, next)
-		got, err := ApplyDelta(prev, delta)
-		if err != nil {
-			t.Fatalf("self-produced delta rejected: %v", err)
-		}
-		if !bytes.Equal(got, next) {
-			t.Fatal("delta round trip lost bytes")
 		}
 	})
 }
@@ -149,7 +77,7 @@ func FuzzReadFrameCompressed(f *testing.F) {
 	// compFlag over an invalid base type: must pass through untouched.
 	f.Add([]byte{1, 0, 0, 0, 0x40 | 0x3f, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mt, env, payload, wireLen, err := readFrameEnvFeat(bytes.NewReader(data))
+		mt, env, payload, wireLen, err := ReadFrameEnv(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -161,7 +89,7 @@ func FuzzReadFrameCompressed(f *testing.F) {
 		if err := WriteFrameEnv(&out, mt, env, payload); err != nil {
 			t.Fatalf("re-write failed: %v", err)
 		}
-		mt2, env2, p2, err := ReadFrameEnv(&out)
+		mt2, env2, p2, _, err := ReadFrameEnv(&out)
 		if err != nil || mt2 != mt || env2 != env || !bytes.Equal(p2, payload) {
 			t.Fatal("inflated frame round trip unstable")
 		}

@@ -88,7 +88,7 @@ func FuzzDecodeExecOK(f *testing.F) {
 
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, MsgPing, []byte("hello"))
+	_ = WriteFrameEnv(&buf, MsgPing, Envelope{}, []byte("hello"))
 	f.Add(buf.Bytes())
 	f.Add([]byte{5, 0, 0, 0, 1, 'a', 'b', 'c', 'd', 'e'})
 	// Oversize length prefixes: just past maxFrame, and the maximum u32.
@@ -109,7 +109,7 @@ func FuzzReadFrame(f *testing.F) {
 	// type, not stall reading an envelope that was never sent.
 	f.Add([]byte{0, 0, 0, 0, 0xfa})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mt, payload, err := ReadFrame(bytes.NewReader(data))
+		mt, _, payload, _, err := ReadFrameEnv(bytes.NewReader(data))
 		if err != nil {
 			// Errors are fine; what matters is that malformed frames are
 			// typed correctly so conns know to close. An oversize length
@@ -121,10 +121,10 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// A read frame re-serializes to a readable frame.
 		var out bytes.Buffer
-		if err := WriteFrame(&out, mt, payload); err != nil {
+		if err := WriteFrameEnv(&out, mt, Envelope{}, payload); err != nil {
 			t.Fatalf("re-write failed: %v", err)
 		}
-		mt2, p2, err := ReadFrame(&out)
+		mt2, _, p2, _, err := ReadFrameEnv(&out)
 		if err != nil || mt2 != mt || !bytes.Equal(p2, payload) {
 			t.Fatal("frame round trip unstable")
 		}

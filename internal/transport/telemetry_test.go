@@ -19,7 +19,7 @@ func TestFrameEnvelopeRoundTrip(t *testing.T) {
 	if b.Len() != frameHeader+envSize+7 {
 		t.Fatalf("traced frame is %d bytes", b.Len())
 	}
-	mt, got, p, err := ReadFrameEnv(&b)
+	mt, got, p, _, err := ReadFrameEnv(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestUntracedFrameKeepsLegacyFormat(t *testing.T) {
 	if b.Len() != frameHeader+1 {
 		t.Fatalf("untraced frame is %d bytes, want %d", b.Len(), frameHeader+1)
 	}
-	mt, env, p, err := ReadFrameEnv(&b)
+	mt, env, p, _, err := ReadFrameEnv(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,10 @@ func echoServer(t *testing.T, conn *Conn, replies map[MsgType][]byte) {
 			if err != nil {
 				return
 			}
-			rt := mt + 1 // every request type is followed by its OK type
+			rt := mt + 1 // every request type is followed by its OK type...
+			if mt == MsgUploadRef {
+				rt = MsgUploadOK // ...except a ref, which is an upload
+			}
 			if err := conn.SendEnv(rt, env, replies[mt]); err != nil {
 				return
 			}
@@ -111,7 +114,9 @@ func TestTelemetryMatchesEncoderOutput(t *testing.T) {
 }
 
 // TestTracedCallAccountsEnvelopeBytes: a traced RPC carries 16 extra
-// header bytes, and the counters must see them.
+// header bytes, and the counters must see them. Both upload forms — the
+// full payload and the dedup ref that follows it — are one traced round
+// trip each.
 func TestTracedCallAccountsEnvelopeBytes(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
@@ -119,9 +124,10 @@ func TestTracedCallAccountsEnvelopeBytes(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	cconn.SetTelemetry(tel)
+	cconn.SetFeatures(FeatDedup)
 
 	upReply := EncodeUploadOK(&UploadOK{Epoch: 1, Bytes: 4})
-	echoServer(t, sconn, map[MsgType][]byte{MsgUpload: upReply})
+	echoServer(t, sconn, map[MsgType][]byte{MsgUpload: upReply, MsgUploadRef: upReply})
 
 	tr := obs.NewTracer(obs.TracerConfig{Proc: "test", Capacity: 16})
 	defer tr.Stop()
@@ -132,22 +138,30 @@ func TestTracedCallAccountsEnvelopeBytes(t *testing.T) {
 	if _, err := client.UploadCtx(ctx, "k", data); err != nil {
 		t.Fatal(err)
 	}
+	// Same bytes under a new key: a dedup hit, sent as a hash ref.
+	if _, err := client.UploadCtx(ctx, "k2", data); err != nil {
+		t.Fatal(err)
+	}
 	root.End()
 
 	wantSent := int64(len(EncodeUpload(&Upload{Key: "k", Data: data})) + frameHeader + envSize)
 	if got := tel.SentBytes(MsgUpload); got != wantSent {
 		t.Fatalf("traced upload sent bytes %d, want %d", got, wantSent)
 	}
-	// The transport span was recorded with the trace ID on it.
+	wantRef := int64(len(EncodeUploadRef(&UploadRef{Key: "k2", Hash: ContentHash(data)})) + frameHeader + envSize)
+	if got := tel.SentBytes(MsgUploadRef); got != wantRef {
+		t.Fatalf("traced upload ref sent bytes %d, want %d", got, wantRef)
+	}
+	// Each upload recorded its own transport span with the trace ID on it.
 	spans := tr.Snapshot()
-	var found bool
+	found := 0
 	for _, s := range spans {
 		if s.Name == "transport.upload" && s.Trace == root.TraceID() && s.Parent == root.SpanID() {
-			found = true
+			found++
 		}
 	}
-	if !found {
-		t.Fatalf("no transport.upload span parented under root: %+v", spans)
+	if found != 2 {
+		t.Fatalf("%d transport.upload spans parented under root, want 2: %+v", found, spans)
 	}
 }
 
@@ -159,13 +173,13 @@ func TestTracedCallAccountsEnvelopeBytes(t *testing.T) {
 // envelope bytes that were never sent.
 func TestUnknownHighTypeByteIsNotAnEnvelope(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgType(250), []byte{0xab}); err != nil {
+	if err := WriteFrameEnv(&buf, MsgType(250), Envelope{}, []byte{0xab}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != frameHeader+1 {
 		t.Fatalf("frame is %d bytes, want %d", buf.Len(), frameHeader+1)
 	}
-	mt, env, payload, err := ReadFrameEnv(&buf)
+	mt, env, payload, _, err := ReadFrameEnv(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

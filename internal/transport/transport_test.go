@@ -15,10 +15,10 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteFrame(&b, MsgPing, []byte("hello")); err != nil {
+	if err := WriteFrameEnv(&b, MsgPing, Envelope{}, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	mt, p, err := ReadFrame(&b)
+	mt, _, p, _, err := ReadFrameEnv(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteFrame(&b, MsgPong, nil); err != nil {
+	if err := WriteFrameEnv(&b, MsgPong, Envelope{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	mt, p, err := ReadFrame(&b)
+	mt, _, p, _, err := ReadFrameEnv(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +44,71 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestFrameRejectsOversize(t *testing.T) {
 	var hdr [5]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, _, _, err := ReadFrameEnv(bytes.NewReader(hdr[:])); err == nil {
 		t.Error("oversize frame should be rejected")
 	}
 }
 
 func TestFrameTruncated(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteFrame(&b, MsgPing, []byte("hello")); err != nil {
+	if err := WriteFrameEnv(&b, MsgPing, Envelope{}, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	trunc := b.Bytes()[:b.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, _, _, err := ReadFrameEnv(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated frame error = %v", err)
+	}
+}
+
+// TestProtocolNumbers pins every wire number: message types and feature
+// bits are what peers of different builds agree on, so a deletion must
+// retire a number rather than renumber the ones after it.
+func TestProtocolNumbers(t *testing.T) {
+	msgs := []struct {
+		t    MsgType
+		want uint8
+	}{
+		{MsgPing, 1}, {MsgPong, 2}, {MsgUpload, 3}, {MsgUploadOK, 4},
+		{MsgExec, 5}, {MsgExecOK, 6}, {MsgFetch, 7}, {MsgTensor, 8},
+		{MsgFree, 9}, {MsgFreeOK, 10}, {MsgErr, 11}, {MsgCrash, 12},
+		{MsgCrashOK, 13}, {MsgStats, 14}, {MsgStatsOK, 15}, {MsgHello, 16},
+		{MsgHelloOK, 17}, {MsgUploadRef, 18}, {MsgUploadDelta, 19},
+		{MsgExecPlan, 20},
+	}
+	for i, m := range msgs {
+		if uint8(m.t) != m.want {
+			t.Errorf("%s = %d, want %d", KindName(m.t), m.t, m.want)
+		}
+		if !validType(m.t) {
+			t.Errorf("%s is not a valid type", KindName(m.t))
+		}
+		if m.want != uint8(i+1) {
+			t.Fatalf("table row %d skips a number", i)
+		}
+	}
+	if validType(0) || validType(MsgExecPlan+1) {
+		t.Error("validType accepts a number outside the protocol")
+	}
+	feats := []struct {
+		name      string
+		bit, want uint32
+	}{
+		{"compress", FeatCompress, 1 << 0},
+		{"dedup", FeatDedup, 1 << 1},
+		{"plan", FeatPlan, 1 << 3},
+	}
+	var all uint32
+	for _, f := range feats {
+		if f.bit != f.want {
+			t.Errorf("feature %s = %#x, want %#x", f.name, f.bit, f.want)
+		}
+		all |= f.want
+	}
+	if FeatAll != all {
+		t.Errorf("FeatAll = %#x, want %#x", FeatAll, all)
+	}
+	if FeatAll&(1<<2) != 0 {
+		t.Error("FeatAll holds the retired bit 1<<2")
 	}
 }
 

@@ -8,12 +8,12 @@
 // counters feed the evaluation's network-volume metrics.
 //
 // A Conn carries one round trip at a time. On top of the legacy frames
-// sit four negotiated features (wirefeat.go; DESIGN.md §11): payload
-// compression, content-hash dedup and same-key deltas for tensors, and
-// resident step plans for graphs (plan.go) — a decode loop's SRG crosses
-// a connection once and later steps send only the node fields that
-// changed. All are dark until a MsgHello grants them; a connection that
-// never says Hello speaks the legacy protocol to the byte.
+// sit three negotiated features (wirefeat.go; DESIGN.md §11): payload
+// compression, content-hash dedup for tensors, and resident step plans
+// for graphs (plan.go) — a decode loop's SRG crosses a connection once
+// and later steps send only the node fields that changed. All are dark
+// until a MsgHello grants them; a connection that never says Hello
+// speaks the legacy protocol to the byte.
 package transport
 
 import (
@@ -62,7 +62,7 @@ const (
 	// MsgStatsOK returns them.
 	MsgStatsOK
 	// MsgHello negotiates optional wire features (compression, dedup,
-	// delta encoding); the payload is a u32 feature mask.
+	// resident plans); the payload is a u32 feature mask.
 	MsgHello
 	// MsgHelloOK grants the intersection of requested and supported
 	// features back to the client.
@@ -70,8 +70,10 @@ const (
 	// MsgUploadRef stores a tensor the server has already seen, by
 	// content hash alone — the dedup fast path (DESIGN.md §11).
 	MsgUploadRef
-	// MsgUploadDelta stores a new version of an existing key as an
-	// XOR/run-length delta against the previous bytes.
+	// MsgUploadDelta is retired: it carried same-key XOR/run-length
+	// re-uploads (feature bit 1<<2), which no workload ever sent. The
+	// number stays reserved so MsgExecPlan keeps its value; a server
+	// answers the type with MsgErr, like any message it does not handle.
 	MsgUploadDelta
 	// MsgExecPlan is MsgExec against a graph resident in one of the
 	// connection's plan slots (FeatPlan, plan.go): the payload installs a
@@ -138,17 +140,9 @@ func (e Envelope) wireSize(payload int) int64 {
 	return int64(payload) + frameHeader + envSize
 }
 
-// WriteFrame writes one untraced length-prefixed frame: u32 len |
-// u8 type | payload.
-//
-//lint:ignore deadexport test reference: raw-frame tests write untraced frames
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	return WriteFrameEnv(w, t, Envelope{}, payload)
-}
-
-// WriteFrameEnv writes one frame, attaching the trace envelope when it
-// is non-zero: u32 len | u8 type|envFlag | u64 trace | u64 span |
-// payload.
+// WriteFrameEnv writes one length-prefixed frame: u32 len | u8 type |
+// payload untraced, or, when the envelope is non-zero, u32 len |
+// u8 type|envFlag | u64 trace | u64 span | payload.
 func WriteFrameEnv(w io.Writer, t MsgType, env Envelope, payload []byte) error {
 	if len(payload) > maxFrame {
 		return frameErrorf("transport: frame of %d bytes exceeds limit", len(payload))
@@ -169,30 +163,6 @@ func WriteFrameEnv(w io.Writer, t MsgType, env Envelope, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// ReadFrame reads one frame, discarding any trace envelope.
-//
-//lint:ignore deadexport test reference: raw-frame tests read untraced frames
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	t, _, payload, err := ReadFrameEnv(r)
-	return t, payload, err
-}
-
-// ReadFrameEnv reads one frame plus its trace envelope (zero when the
-// peer sent an untraced frame). Compressed frames (compFlag, sent only
-// after feature negotiation) are transparently inflated.
-//
-// Flag bits in the type byte are only meaningful on frames this
-// protocol emits, which always carry a valid message type under them.
-// A stripped type outside the protocol (e.g. a peer probing with 0xfa)
-// is NOT a traced or compressed frame: the byte passes through
-// untouched — no envelope read, no inflation — so the dispatch layer
-// rejects it instead of the reader stalling on bytes that were never
-// sent.
-func ReadFrameEnv(r io.Reader) (MsgType, Envelope, []byte, error) {
-	t, env, payload, _, err := readFrameEnvFeat(r)
-	return t, env, payload, err
 }
 
 // validType reports whether t is a message this protocol defines.

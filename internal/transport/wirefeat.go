@@ -25,9 +25,10 @@ const (
 	// hashes (MsgUploadRef, binding kind 2) once the server has seen
 	// the bytes.
 	FeatDedup
-	// FeatDelta lets a same-key re-upload travel as an XOR/run-length
-	// delta against the previous version (MsgUploadDelta).
-	FeatDelta
+	// 1<<2 is retired (same-key XOR/run-length re-uploads, MsgUploadDelta):
+	// no workload ever sent one. The bit stays unassigned and out of
+	// FeatAll, so a server with the default grant never grants it.
+	_
 	// FeatPlan lets a repeatable exec (Exec.Repeat) travel as MsgExecPlan:
 	// the graph stays resident in a per-connection slot and later calls
 	// send only the node fields that changed (plan.go). A client asks for
@@ -36,7 +37,7 @@ const (
 	FeatPlan
 
 	// FeatAll is every feature this build implements.
-	FeatAll = FeatCompress | FeatDedup | FeatDelta | FeatPlan
+	FeatAll = FeatCompress | FeatDedup | FeatPlan
 )
 
 // compFlag marks a frame whose payload is deflate-compressed, prefixed
@@ -126,133 +127,6 @@ func DecodeUploadRef(b []byte) (*UploadRef, error) {
 	return u, r.err
 }
 
-// --- UploadDelta: same-key re-upload as XOR/run-length delta ---
-
-// UploadDelta replaces key's resident bytes with prev XOR delta. The
-// dtype/shape must match the resident version (the client falls back
-// to a full upload otherwise); Hash authenticates the reconstruction.
-type UploadDelta struct {
-	Key   string
-	DType tensor.DType
-	Shape tensor.Shape
-	// Delta is the run-length-encoded XOR against the previous bytes.
-	Delta []byte
-	// Hash is the content hash of the NEW tensor; the server verifies
-	// the reconstruction against it so a lost frame or stale base never
-	// silently corrupts a weight.
-	Hash [HashSize]byte
-}
-
-// EncodeUploadDelta serializes an UploadDelta payload.
-func EncodeUploadDelta(u *UploadDelta) []byte {
-	var e buf
-	e.str(u.Key)
-	e.u8(uint8(u.DType))
-	e.u8(uint8(len(u.Shape)))
-	for _, d := range u.Shape {
-		e.u32(uint32(d))
-	}
-	e.b = append(e.b, u.Hash[:]...)
-	e.u32(uint32(len(u.Delta)))
-	e.b = append(e.b, u.Delta...)
-	return e.b
-}
-
-// DecodeUploadDelta parses an UploadDelta payload.
-func DecodeUploadDelta(b []byte) (*UploadDelta, error) {
-	r := rdr{b: b}
-	u := &UploadDelta{Key: r.str(), DType: tensor.DType(r.u8())}
-	if r.err == nil && u.DType > tensor.I8 {
-		return nil, frameErrorf("transport: invalid dtype byte in delta")
-	}
-	rank := int(r.u8())
-	if r.err == nil && rank > 16 {
-		return nil, frameErrorf("transport: delta rank too large")
-	}
-	u.Shape = make(tensor.Shape, rank)
-	for i := range u.Shape {
-		u.Shape[i] = int(r.u32())
-	}
-	copy(u.Hash[:], r.take(HashSize))
-	n := int(r.u32())
-	d := r.take(n)
-	if r.err != nil {
-		return nil, r.err
-	}
-	u.Delta = make([]byte, n)
-	copy(u.Delta, d)
-	return u, nil
-}
-
-// EncodeDelta run-length-encodes next XOR prev as repeated
-// (uvarint zeroRun, uvarint litLen, litBytes) pairs. Equal-length
-// inputs only; KV appends and weight updates touch a fraction of the
-// bytes, so the zero runs dominate and the delta collapses.
-func EncodeDelta(prev, next []byte) []byte {
-	out := make([]byte, 0, len(next)/8+16)
-	var tmp [binary.MaxVarintLen64]byte
-	i := 0
-	for i < len(next) {
-		run := i
-		for run < len(next) && next[run] == prev[run] {
-			run++
-		}
-		lit := run
-		// A literal ends once a zero run long enough to pay for its own
-		// two varint headers appears (or the buffer ends).
-		for lit < len(next) {
-			z := lit
-			for z < len(next) && next[z] == prev[z] {
-				z++
-			}
-			if z-lit >= 4 || z == len(next) {
-				break
-			}
-			lit = z + 1
-		}
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(run-i))]...)
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(lit-run))]...)
-		for j := run; j < lit; j++ {
-			out = append(out, next[j]^prev[j])
-		}
-		i = lit
-	}
-	return out
-}
-
-// ApplyDelta reconstructs next from prev and an EncodeDelta stream.
-// Malformed deltas (overrun, trailing garbage) return FrameErrors.
-func ApplyDelta(prev, delta []byte) ([]byte, error) {
-	next := make([]byte, len(prev))
-	copy(next, prev)
-	i, off := 0, 0
-	for off < len(delta) {
-		zero, n := binary.Uvarint(delta[off:])
-		if n <= 0 {
-			return nil, frameErrorf("transport: corrupt delta varint at %d", off)
-		}
-		off += n
-		lit, n := binary.Uvarint(delta[off:])
-		if n <= 0 {
-			return nil, frameErrorf("transport: corrupt delta varint at %d", off)
-		}
-		off += n
-		if zero > uint64(len(prev)-i) || lit > uint64(len(prev)-i)-zero {
-			return nil, frameErrorf("transport: delta overruns %d-byte base", len(prev))
-		}
-		i += int(zero)
-		if off+int(lit) > len(delta) {
-			return nil, frameErrorf("transport: truncated delta literal at %d", off)
-		}
-		for j := 0; j < int(lit); j++ {
-			next[i+j] ^= delta[off+j]
-		}
-		i += int(lit)
-		off += int(lit)
-	}
-	return next, nil
-}
-
 // --- frame payload compression ---
 
 // compressPayload deflates raw into uvarint(len(raw)) + flate bytes.
@@ -336,13 +210,22 @@ func writeFrameCompressed(w io.Writer, t MsgType, env Envelope, cp []byte) error
 	return err
 }
 
-// readFrameEnvFeat reads one frame, transparently inflating compressed
+// ReadFrameEnv reads one frame plus its trace envelope (zero when the
+// peer sent an untraced frame), transparently inflating compressed
 // payloads. wireLen is the payload length as it crossed the wire
 // (compressed size for compressed frames), for counter accounting.
 // Decompression capability is unconditional — only *sending* is
 // negotiated — so a reply can be compressed the moment the HelloOK
 // grant is issued.
-func readFrameEnvFeat(r io.Reader) (_ MsgType, _ Envelope, _ []byte, wireLen int, _ error) {
+//
+// Flag bits in the type byte are only meaningful on frames this
+// protocol emits, which always carry a valid message type under them.
+// A stripped type outside the protocol (e.g. a peer probing with 0xfa)
+// is NOT a traced or compressed frame: the byte passes through
+// untouched — no envelope read, no inflation — so the dispatch layer
+// rejects it instead of the reader stalling on bytes that were never
+// sent.
+func ReadFrameEnv(r io.Reader) (_ MsgType, _ Envelope, _ []byte, wireLen int, _ error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, Envelope{}, nil, 0, err
@@ -354,9 +237,9 @@ func readFrameEnvFeat(r io.Reader) (_ MsgType, _ Envelope, _ []byte, wireLen int
 	var env Envelope
 	t := hdr[4]
 	compressed := false
-	// Flag bits are only meaningful over a valid message type (see the
-	// envFlag note in ReadFrameEnv): anything else passes through raw so
-	// dispatch rejects the byte instead of the reader misparsing it.
+	// Flag bits are only meaningful over a valid message type (see
+	// above): anything else passes through raw so dispatch rejects the
+	// byte instead of the reader misparsing it.
 	if t&(envFlag|compFlag) != 0 && validType(MsgType(t&^(envFlag|compFlag))) {
 		if t&envFlag != 0 {
 			var eb [envSize]byte
