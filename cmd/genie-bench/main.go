@@ -281,6 +281,7 @@ func printChaos() {
 	} else {
 		fmt.Println("backend b0 never reached the crash point (run too short for the schedule)")
 	}
+	fmt.Printf("tokens match the no-fault run: %v\n", r.TokensMatch)
 	fmt.Println("(goodput = completed requests; re-queued work resumes on the survivor")
 	fmt.Println(" with one prefill over prompt + delivered tokens, so the crash costs one")
 	fmt.Println(" prefill per victim, not correctness — CPU wall-clock numbers, not the")

@@ -34,23 +34,23 @@
 // semantics_aware modes): requests sharing a prompt prefix prefill only
 // their suffix, and /stats exposes hit ratio and residency under
 // "cache". -split-prefill disaggregates the two inference phases across
-// exactly two -backends — the first runs prefill, the second holds
-// decode state — shipping only the ΔKV suffix between them.
+// the -backends — the last holds decode state, the others run prefill —
+// shipping only the ΔKV suffix between them.
 //
 //	genie-gateway -addr :8080 -backends 127.0.0.1:7009,127.0.0.1:7010 \
 //	  -split-prefill -prefix-cache-bytes 67108864 -wire-compress
 //
 // Fail-slow tolerance (-health, on by default) scores every lane's
 // latency and error rate against the best member: Suspect lanes yield
-// to healthy ones, Quarantined lanes drain through failover with no
-// state loss, and -quarantine-* tune the thresholds. With
-// -split-prefill, -hedge-prefill races a second prefill lane once the
-// first runs past the adaptive health deadline (the first n-1
-// -backends become prefill lanes, the last holds decode):
+// to healthy ones and Quarantined lanes drain through failover with no
+// state loss. The thresholds are relative to the best lane, so none is
+// a flag. With -split-prefill and three or more -backends, the first
+// n-1 become prefill lanes and every prefill races a second lane once
+// the first runs past the adaptive health deadline (never below 25ms):
 //
 //	genie-gateway -addr :8080 \
 //	  -backends 127.0.0.1:7009,127.0.0.1:7010,127.0.0.1:7011 \
-//	  -split-prefill -hedge-prefill -hedge-floor 25ms
+//	  -split-prefill
 //
 // SIGINT/SIGTERM drains gracefully: admission closes, queued and
 // running requests finish, then the process exits.
@@ -94,19 +94,10 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	retryBudget := flag.Int("retry-budget", 1,
 		"re-queues per request after backend loss before shedding 503 (0 = fail fast)")
-	retryAfter := flag.Duration("retry-after", time.Second,
-		"Retry-After hint sent with 503 responses")
 	opTimeout := flag.Duration("op-timeout", 2*time.Second,
 		"per-RPC deadline on prefill/decode ops (0 = none; bounds hung-peer stalls)")
-	breakerThreshold := flag.Int("breaker-threshold", 3,
-		"consecutive backend failures that trip a lane's gate into quarantine")
-	breakerCooldown := flag.Duration("breaker-cooldown", time.Second,
-		"quarantine dwell after a trip before one trial request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-	kernelWorkers := flag.Int("kernel-workers", 0,
-		"CPU kernel worker-pool width (0 = GOMAXPROCS or GENIE_KERNEL_WORKERS, 1 = serial)")
 	trace := flag.Bool("trace", true, "record request-scoped spans (GET /debug/trace)")
-	traceCap := flag.Int("trace-cap", 4096, "span ring-buffer capacity (oldest spans overwritten)")
 	traceDump := flag.String("trace-dump", "", "write Chrome trace JSON to this file at shutdown")
 	poolBackends := flag.String("pool-backends", "",
 		"comma-separated genie-server addresses forming ONE sharded backend pool "+
@@ -124,11 +115,10 @@ func main() {
 	prefixCacheBytes := flag.Int64("prefix-cache-bytes", 0,
 		"radix prefix KV cache budget in bytes (0 = off); requests sharing a "+
 			"prompt prefix prefill only their suffix")
-	kvPageTokens := flag.Int("kv-page-tokens", kvcache.DefaultPageTokens,
-		"tokens per KV page in the prefix cache")
 	splitPrefill := flag.Bool("split-prefill", false,
-		"disaggregate prefill/decode across exactly two -backends: the first "+
-			"runs prefill, the second holds decode KV (semantics_aware mode only)")
+		"disaggregate prefill/decode across two or more -backends: the last holds "+
+			"decode KV, the others run prefill, and two or more prefill lanes hedge "+
+			"each prefill past the adaptive health deadline (semantics_aware mode only)")
 	wireCompress := flag.Bool("wire-compress", false,
 		"negotiate wire features (compression, dedup, resident plans) with each backend; "+
 			"backends that refuse stay on the legacy protocol")
@@ -136,19 +126,7 @@ func main() {
 		"graded fail-slow health scoring on every lane: Suspect lanes demote, "+
 			"Quarantined lanes drain through failover, idle lanes are probed and "+
 			"ops get an adaptive deadline; /stats gains a health block "+
-			"(false = trip-only gate: -breaker-* alone quarantine a lane)")
-	quarantineFactor := flag.Float64("quarantine-factor", 8,
-		"latency ratio vs the best lane's EWMA that quarantines an endpoint "+
-			"(suspect engages at 3)")
-	quarantineErrRate := flag.Float64("quarantine-err-rate", 0.5,
-		"error-rate EWMA that quarantines an endpoint (suspect engages at 0.1)")
-	quarantineCooldown := flag.Duration("quarantine-cooldown", 2*time.Second,
-		"quarantine dwell before an endpoint is trialed for reinstatement")
-	hedgePrefill := flag.Bool("hedge-prefill", false,
-		"with -split-prefill: race a second prefill lane once the first exceeds "+
-			"the adaptive health deadline (needs >= 3 -backends: prefill lanes..., decode)")
-	hedgeFloor := flag.Duration("hedge-floor", 25*time.Millisecond,
-		"minimum wait before a hedged prefill launches its backup")
+			"(false = trip-only gate: 3 consecutive failures quarantine a lane for 1s)")
 	flag.Parse()
 
 	mode, err := runtime.ParseMode(*modeName)
@@ -168,7 +146,7 @@ func main() {
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
 	if *trace {
-		tracer = obs.NewTracer(obs.TracerConfig{Proc: "gateway", Capacity: *traceCap})
+		tracer = obs.NewTracer(obs.TracerConfig{Proc: "gateway"})
 		defer tracer.Stop()
 	}
 	tel := transport.NewTelemetry(reg)
@@ -179,15 +157,7 @@ func main() {
 	// /stats health block covers the whole stack.
 	var hs *health.Set
 	if *healthOn {
-		hs = health.NewSet(health.Config{
-			QuarantineFactor:  *quarantineFactor,
-			QuarantineErrRate: *quarantineErrRate,
-			Cooldown:          *quarantineCooldown,
-			Metrics:           reg,
-		})
-	}
-	if *hedgePrefill && !*splitPrefill {
-		log.Fatal("genie-gateway: -hedge-prefill needs -split-prefill (it races prefill lanes)")
+		hs = health.NewSet(health.Config{Metrics: reg})
 	}
 
 	// With -wire-compress the gateway offers the full wire feature set to
@@ -229,7 +199,6 @@ func main() {
 		cacheMgr, err = kvcache.NewManager(kvcache.Config{
 			Model:       models.NewGPT(rand.New(rand.NewSource(*seed)), models.TinyGPT),
 			BudgetBytes: *prefixCacheBytes,
-			PageTokens:  *kvPageTokens,
 			Metrics:     reg,
 		})
 		if err != nil {
@@ -313,13 +282,9 @@ func main() {
 			ctrs = append(ctrs, conn.Counters())
 			names = append(names, baddr)
 		}
-		if *hedgePrefill && len(eps) < 3 {
-			log.Fatalf("genie-gateway: -hedge-prefill needs at least three -backends "+
-				"(two or more prefill lanes, then the decode lane), got %d", len(eps))
-		}
-		if !*hedgePrefill && len(eps) != 2 {
-			log.Fatalf("genie-gateway: -split-prefill needs exactly two -backends "+
-				"(prefill lane, decode lane), got %d", len(eps))
+		if len(eps) < 2 {
+			log.Fatalf("genie-gateway: -split-prefill needs at least two -backends "+
+				"(prefill lanes, then the decode lane), got %d", len(eps))
 		}
 		model := models.NewGPT(rand.New(rand.NewSource(*seed)), models.TinyGPT)
 		if cacheMgr != nil {
@@ -333,12 +298,13 @@ func main() {
 			Metrics:        reg,
 			Health:         hs,
 		}
-		if *hedgePrefill {
+		// The backend count decides hedging: one prefill lane runs every
+		// prefill, two or more race the healthiest two.
+		hedged := len(eps) > 2
+		if hedged {
 			for i := 0; i < len(eps)-1; i++ {
 				scfg.Lanes = append(scfg.Lanes, kvcache.PrefillLane{Name: names[i], EP: eps[i]})
 			}
-			scfg.HedgePrefill = true
-			scfg.HedgeFloor = *hedgeFloor
 		} else {
 			scfg.Prefill = eps[0]
 		}
@@ -350,7 +316,7 @@ func main() {
 			log.Fatalf("genie-gateway: install weights: %v", err)
 		}
 		decName := names[len(names)-1]
-		if *hedgePrefill {
+		if hedged {
 			log.Printf("genie-gateway: hedged prefill across %s, decode on %s",
 				strings.Join(names[:len(names)-1], ","), decName)
 		} else {
@@ -410,12 +376,8 @@ func main() {
 		MaxBatch:         *batch,
 		DefaultMaxTokens: *maxTokens,
 		DefaultDeadline:  *deadline,
-		KernelWorkers:    *kernelWorkers,
 		RetryBudget:      budget,
-		RetryAfter:       *retryAfter,
 		OpTimeout:        *opTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
 		Tracer:           tracer,
 		Metrics:          reg,
 		PoolStats:        poolStats,

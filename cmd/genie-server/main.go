@@ -38,11 +38,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7009", "TCP address to listen on")
 	dev := flag.String("device", "a100-80g", "modeled device (a100-80g, h100-80g, a10g-24g, cpu-host)")
-	kernelWorkers := flag.Int("kernel-workers", 0,
-		"CPU kernel worker-pool width (0 = GOMAXPROCS or GENIE_KERNEL_WORKERS, 1 = serial)")
 	metricsAddr := flag.String("metrics-addr", "",
 		"HTTP address for GET /metrics and /debug/trace (empty = observability off)")
-	traceCap := flag.Int("trace-cap", 4096, "span ring-buffer capacity (oldest spans overwritten)")
 	memBytes := flag.Int64("mem-bytes", 0,
 		"override the modeled device memory capacity in bytes (0 = device default; "+
 			"small values force a pool gateway to shard the model across backends)")
@@ -68,9 +65,6 @@ func main() {
 	if *memBytes > 0 {
 		spec.MemBytes = *memBytes
 	}
-	if *kernelWorkers > 0 {
-		compute.Configure(*kernelWorkers)
-	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("genie-server: %v", err)
@@ -86,7 +80,7 @@ func main() {
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)
-		tracer := obs.NewTracer(obs.TracerConfig{Proc: "server", Capacity: *traceCap})
+		tracer := obs.NewTracer(obs.TracerConfig{Proc: "server"})
 		defer tracer.Stop()
 		srv.SetTracer(tracer)
 		mux := http.NewServeMux()

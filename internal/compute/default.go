@@ -46,23 +46,14 @@ func Default() *Pool {
 
 // SetDefault installs p as the process-wide pool and returns the
 // previous one (which the caller owns and may Stop once quiescent).
-// Tests use it to sweep worker counts; production code configures width
-// once via Configure.
+// Tests and genie-bench use it to sweep worker counts; the serving
+// binaries keep the pool the process started with (GENIE_KERNEL_WORKERS).
 func SetDefault(p *Pool) *Pool {
 	defMu.Lock()
 	old := def
 	def = p
 	defMu.Unlock()
 	return old
-}
-
-// Configure replaces the default pool with one of the given width (< 1
-// = GOMAXPROCS) and stops the previous pool. In-flight ParallelFor
-// calls on the old pool complete on their callers; new kernel calls
-// pick up the new pool.
-func Configure(width int) {
-	old := SetDefault(NewPool(width))
-	old.Stop()
 }
 
 // Workers reports the default pool's width.

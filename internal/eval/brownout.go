@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -285,9 +286,8 @@ func runBrownoutHedged(ctx context.Context, cfg BrownoutServingConfig) (Brownout
 			{Name: "pf-slow", EP: slowCli},
 			{Name: "pf-spare", EP: fastCli},
 		},
-		Health:       hs,
-		HedgePrefill: true,
-		HedgeFloor:   cfg.HedgeFloor,
+		Health:     hs,
+		HedgeFloor: cfg.HedgeFloor,
 	})
 	if err != nil {
 		return run, nil, err
@@ -376,18 +376,5 @@ func replayArrivals(ctx context.Context, engine *serve.Engine, cfg BrownoutServi
 // tokensMatch compares per-request token streams against the baseline.
 // Requests missing from either side (failed) count as mismatches.
 func tokensMatch(ref, got [][]int64) bool {
-	if len(ref) != len(got) {
-		return false
-	}
-	for i := range ref {
-		if len(ref[i]) != len(got[i]) {
-			return false
-		}
-		for j := range ref[i] {
-			if ref[i][j] != got[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(ref, got, slices.Equal[[]int64])
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,6 +75,11 @@ type ChaosServingResult struct {
 	// healthy lane.
 	CrashAt  time.Duration
 	Recovery time.Duration
+	// TokensMatch reports whether every request the faulted run
+	// completed carries exactly the baseline's tokens: recovery rebuilds
+	// lost decode state by one prefill over the token log, so a crash may
+	// cost time but never a different token.
+	TokensMatch bool
 }
 
 // RunChaosServing measures serving goodput under a mid-run backend
@@ -89,7 +95,7 @@ func RunChaosServing(ctx context.Context, cfg ChaosServingConfig) (ChaosServingR
 	}
 	out := ChaosServingResult{}
 
-	base, _, err := runOnce(ctx, cfg, nil)
+	base, baseProbe, err := runOnce(ctx, cfg, nil)
 	if err != nil {
 		return out, fmt.Errorf("eval: baseline run: %w", err)
 	}
@@ -107,15 +113,29 @@ func RunChaosServing(ctx context.Context, cfg ChaosServingConfig) (ChaosServingR
 	out.Unavailable = probe.unavailable
 	out.CrashAt = probe.crashAt
 	out.Recovery = probe.recovery
+	out.TokensMatch = completedMatch(baseProbe.tokens, probe.tokens)
 	return out, nil
 }
 
-// chaosProbe carries the faulted run's failure-path observations.
+// chaosProbe carries a run's per-request tokens (nil where the request
+// failed) and the faulted run's failure-path observations.
 type chaosProbe struct {
+	tokens      [][]int64
 	requeued    int64
 	unavailable int64
 	crashAt     time.Duration
 	recovery    time.Duration
+}
+
+// completedMatch reports whether every completed request in got (a
+// non-nil stream) equals the same request's stream in ref.
+func completedMatch(ref, got [][]int64) bool {
+	for i, toks := range got {
+		if toks != nil && !slices.Equal(ref[i], toks) {
+			return false
+		}
+	}
+	return true
 }
 
 // runOnce drives one engine run over the configured arrival stream.
@@ -173,12 +193,13 @@ func runOnce(ctx context.Context, cfg ChaosServingConfig, plan *chaos.Plan) (Onl
 	// crash/recovery offsets, and it keeps one clock for everything.
 	var wg sync.WaitGroup
 	var firstAfterCrash time.Duration
+	probe.tokens = make([][]int64, cfg.Requests)
 	for i := 0; i < cfg.Requests; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			time.Sleep(arrivals[i] - time.Since(start))
-			_, err := engine.Submit(ctx, serve.Request{
+			res, err := engine.Submit(ctx, serve.Request{
 				Tenant:    fmt.Sprintf("t%d", i%4),
 				Prompt:    prompts[i].Prompt,
 				MaxTokens: cfg.MaxTokens,
@@ -188,6 +209,7 @@ func runOnce(ctx context.Context, cfg ChaosServingConfig, plan *chaos.Plan) (Onl
 			}
 			done := time.Since(start)
 			mu.Lock()
+			probe.tokens[i] = res.Tokens
 			if probe.crashAt > 0 && done > probe.crashAt &&
 				(firstAfterCrash == 0 || done < firstAfterCrash) {
 				firstAfterCrash = done

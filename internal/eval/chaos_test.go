@@ -8,8 +8,8 @@ import (
 
 // TestChaosServingRecovers drives the fault-tolerance benchmark at a
 // small scale: the faulted run must still complete every request (the
-// crash re-queues work to the survivor), and the no-fault baseline must
-// be clean.
+// crash re-queues work to the survivor) with the baseline's tokens, and
+// the no-fault baseline must be clean.
 func TestChaosServingRecovers(t *testing.T) {
 	cfg := DefaultChaosServingConfig()
 	cfg.CrashExecAt = 3
@@ -28,6 +28,9 @@ func TestChaosServingRecovers(t *testing.T) {
 	}
 	if r.Faulted.Completed == 0 {
 		t.Error("no request survived the crash")
+	}
+	if !r.TokensMatch {
+		t.Error("a request completed in the faulted run with tokens that differ from the baseline's")
 	}
 	if r.CrashAt <= 0 {
 		t.Error("crash never fired")

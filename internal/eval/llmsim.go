@@ -103,7 +103,6 @@ type Result struct {
 // timeline simulates the sequential client: a GPU resource, a link, and
 // an RPC profile. All four modes share it.
 type timeline struct {
-	sim  *simnet.Sim
 	gpu  *simnet.Resource
 	cfg  LLMSimConfig
 	now  time.Duration
@@ -112,7 +111,7 @@ type timeline struct {
 }
 
 func newTimeline(cfg LLMSimConfig) *timeline {
-	return &timeline{sim: simnet.New(), gpu: simnet.NewResource("gpu"), cfg: cfg}
+	return &timeline{gpu: simnet.NewResource("gpu"), cfg: cfg}
 }
 
 // call models one synchronous RPC: per-call software overhead, serialize

@@ -74,29 +74,40 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The scorer's fixed tuning. Sickness is relative to the set baseline,
+// so these hold across models and hardware tiers without tuning.
+const (
+	// alpha is the EWMA smoothing factor for latency and error rate: a
+	// dozen samples to converge, a dozen to forget.
+	alpha = 0.2
+	// windowCap bounds each tracker's exact-percentile window.
+	windowCap = 256
+	// suspectFactor is the latency ratio against the set baseline (best
+	// member EWMA) past which a lane becomes Suspect.
+	suspectFactor = 3.0
+	// suspectErrRate is the error EWMA past which a lane becomes Suspect.
+	suspectErrRate = 0.1
+	// probeInterval paces active probes on idle lanes.
+	probeInterval = 250 * time.Millisecond
+	// hedgeFactor scales the set baseline EWMA into the hedged-prefill
+	// deadline.
+	hedgeFactor = 4.0
+)
+
 // Config parameterizes a Set. The zero value is usable: all fields
 // default to the values documented on them.
 type Config struct {
-	// Alpha is the EWMA smoothing factor for latency and error rate
-	// (default 0.2 — a dozen samples to converge, a dozen to forget).
-	Alpha float64
-	// WindowCap bounds each tracker's exact-percentile window (default
-	// 256 samples).
-	WindowCap int
 	// MinSamples is how many latency samples a tracker needs before its
 	// EWMA is trusted for judgments (default 8). Below it the tracker
 	// reports Healthy and score 1.
 	MinSamples int
-	// SuspectFactor and QuarantineFactor are the latency-ratio
-	// thresholds: a lane whose EWMA exceeds factor × the set baseline
-	// (best member EWMA) becomes Suspect (default 3) or Quarantined
-	// (default 8). Hysteresis comes from the gap between them and from
-	// the EWMA itself.
-	SuspectFactor    float64
+	// QuarantineFactor is the latency-ratio threshold past which a lane
+	// is Quarantined (default 8, and always above the Suspect ratio 3).
+	// Hysteresis comes from the gap between the two and from the EWMA
+	// itself.
 	QuarantineFactor float64
-	// SuspectErrRate and QuarantineErrRate are the error-EWMA
-	// thresholds (defaults 0.1 and 0.5).
-	SuspectErrRate    float64
+	// QuarantineErrRate is the error-EWMA threshold past which a lane is
+	// Quarantined (default 0.5; Suspect engages at 0.1).
 	QuarantineErrRate float64
 	// Cooldown is the quarantine dwell before an endpoint is offered
 	// reinstatement (default 2s).
@@ -104,11 +115,6 @@ type Config struct {
 	// ReinstateStreak is how many consecutive successes a Reinstating
 	// endpoint needs to be Healthy again (default 3).
 	ReinstateStreak int
-	// ProbeInterval paces active probes on idle lanes (default 250ms).
-	ProbeInterval time.Duration
-	// HedgeFactor scales the set baseline EWMA into the hedged-prefill
-	// deadline (default 4).
-	HedgeFactor float64
 	// DeadlineFactor scales the best healthy member's worst observed
 	// latency into the adaptive per-op deadline (default 4).
 	DeadlineFactor float64
@@ -120,26 +126,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
-	}
-	if c.WindowCap <= 0 {
-		c.WindowCap = 256
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 8
 	}
-	if c.SuspectFactor <= 1 {
-		c.SuspectFactor = 3
-	}
-	if c.QuarantineFactor <= c.SuspectFactor {
+	if c.QuarantineFactor <= suspectFactor {
 		c.QuarantineFactor = 8
-		if c.QuarantineFactor <= c.SuspectFactor {
-			c.QuarantineFactor = c.SuspectFactor * 2
-		}
-	}
-	if c.SuspectErrRate <= 0 {
-		c.SuspectErrRate = 0.1
 	}
 	if c.QuarantineErrRate <= 0 {
 		c.QuarantineErrRate = 0.5
@@ -149,12 +140,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReinstateStreak <= 0 {
 		c.ReinstateStreak = 3
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.HedgeFactor <= 1 {
-		c.HedgeFactor = 4
 	}
 	if c.DeadlineFactor <= 1 {
 		c.DeadlineFactor = 4
@@ -193,12 +178,12 @@ func (s *Set) Endpoint(name string) *Tracker {
 	t := &Tracker{
 		set:  s,
 		name: name,
-		// A probe is due after ProbeInterval of idleness, not at first
+		// A probe is due after probeInterval of idleness, not at first
 		// sight: a fresh lane blocking in a ping exactly when traffic
 		// arrives would trade its first admissions for a liveness fact
 		// the first real request proves anyway.
 		lastProbe: s.cfg.Now(),
-		window:    obs.NewWindow(s.cfg.WindowCap),
+		window:    obs.NewWindow(windowCap),
 		stateGauge: s.cfg.Metrics.Gauge("genie_health_state",
 			"graded endpoint health (0 healthy, 1 suspect, 2 quarantined, 3 reinstating)",
 			"endpoint", name),
@@ -236,12 +221,12 @@ func (s *Set) baselineEwma() float64 {
 }
 
 // HedgeDeadline derives the hedged-prefill trigger from the set
-// baseline: HedgeFactor × the best member EWMA, never below floor.
+// baseline: hedgeFactor × the best member EWMA, never below floor.
 // Until a baseline exists the floor alone applies (a zero floor then
 // disables hedging for the call).
 func (s *Set) HedgeDeadline(floor time.Duration) time.Duration {
 	base := s.baselineEwma()
-	d := time.Duration(s.cfg.HedgeFactor * base)
+	d := time.Duration(hedgeFactor * base)
 	if d < floor {
 		d = floor
 	}
@@ -417,7 +402,6 @@ func (t *Tracker) ObserveProbe(_ time.Duration, failed bool) {
 // d to the latency EWMA, then re-evaluates the state machine.
 func (t *Tracker) fold(d time.Duration, timed, failed bool) {
 	base := t.set.baselineEwma()
-	alpha := t.set.cfg.Alpha
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if timed {
@@ -479,7 +463,7 @@ func (t *Tracker) evaluate(base float64, failed bool) {
 	case t.errEwma >= cfg.QuarantineErrRate || ratio >= cfg.QuarantineFactor:
 		t.toState(Quarantined)
 		t.until = now.Add(cfg.Cooldown)
-	case t.errEwma >= cfg.SuspectErrRate || ratio >= cfg.SuspectFactor:
+	case t.errEwma >= suspectErrRate || ratio >= suspectFactor:
 		if t.state != Suspect {
 			t.toState(Suspect)
 		}
@@ -585,7 +569,7 @@ func (t *Tracker) ProbeDue() bool {
 	now := t.set.cfg.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if now.Sub(t.lastProbe) < t.set.cfg.ProbeInterval {
+	if now.Sub(t.lastProbe) < probeInterval {
 		return false
 	}
 	t.lastProbe = now
@@ -598,7 +582,7 @@ func (t *Tracker) ProbeWait() time.Duration {
 	now := t.set.cfg.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.set.cfg.ProbeInterval - now.Sub(t.lastProbe)
+	w := probeInterval - now.Sub(t.lastProbe)
 	if w < time.Millisecond {
 		w = time.Millisecond
 	}

@@ -210,24 +210,29 @@ func TestHealthiestRanking(t *testing.T) {
 
 func TestProbePacing(t *testing.T) {
 	clk := newFakeClock()
-	s := testSet(clk, func(c *Config) { c.ProbeInterval = 100 * time.Millisecond })
+	s := testSet(clk, nil)
 	a := s.Endpoint("a")
 	// A fresh tracker is not immediately due: probing at first sight
 	// would block a new lane in a ping exactly when traffic arrives.
 	if a.ProbeDue() {
 		t.Fatal("fresh tracker should wait a full interval before probing")
 	}
-	clk.advance(150 * time.Millisecond)
+	// The interval is 250ms: not due at 200ms, due at 300ms.
+	clk.advance(200 * time.Millisecond)
+	if a.ProbeDue() {
+		t.Fatal("probe due at 200ms, want a 250ms interval")
+	}
+	clk.advance(100 * time.Millisecond)
 	if !a.ProbeDue() {
 		t.Fatal("first probe should be due after an idle interval")
 	}
 	if a.ProbeDue() {
 		t.Fatal("second probe immediately after should not be due")
 	}
-	if w := a.ProbeWait(); w <= 0 || w > 100*time.Millisecond {
-		t.Fatalf("ProbeWait = %v, want (0, 100ms]", w)
+	if w := a.ProbeWait(); w <= 0 || w > probeInterval {
+		t.Fatalf("ProbeWait = %v, want (0, %v]", w, probeInterval)
 	}
-	clk.advance(150 * time.Millisecond)
+	clk.advance(300 * time.Millisecond)
 	if !a.ProbeDue() {
 		t.Fatal("probe should be due after the interval")
 	}
@@ -249,7 +254,7 @@ func TestDeadlines(t *testing.T) {
 		t.Fatalf("OpDeadline without samples = %v, want cap", d)
 	}
 	feed(a, 20, time.Millisecond, false)
-	// Baseline 1ms, HedgeFactor 4 → 4ms (floor 1ms).
+	// Baseline 1ms, hedgeFactor 4 → 4ms (floor 1ms).
 	if d := s.HedgeDeadline(time.Millisecond); d < 3*time.Millisecond || d > 6*time.Millisecond {
 		t.Fatalf("HedgeDeadline = %v, want ~4ms", d)
 	}

@@ -75,8 +75,7 @@ func TestHedgedPrefillDedup(t *testing.T) {
 			{Name: "a", EP: laneA.cli},
 			{Name: "b", EP: laneB.cli},
 		},
-		HedgePrefill: true,
-		HedgeFloor:   2 * time.Millisecond,
+		HedgeFloor: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +168,8 @@ func TestHedgeBackupWinsOnSlowPrimary(t *testing.T) {
 			{Name: "a-slow", EP: slow.cli}, // name-asc tiebreak: unscored "a-slow" ranks first
 			{Name: "b-fast", EP: fast.cli},
 		},
-		Health:       hs,
-		HedgePrefill: true,
-		HedgeFloor:   5 * time.Millisecond,
+		Health:     hs,
+		HedgeFloor: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,20 +45,19 @@ type SplitConfig struct {
 
 	// Lanes optionally names a pool of prefill endpoints. When set,
 	// Prefill may be nil; each request's primary is the healthiest lane
-	// (per Health) or the first lane. Two or more lanes unlock hedging.
+	// (per Health) or the first lane. Two or more lanes hedge: the
+	// prefill goes to a second lane when the first has not answered
+	// within the adaptive deadline; the first result wins, the loser is
+	// cancelled (deliberately poisoning its conn — the fail-slow lane
+	// becomes fail-stop and its lane gate sees it), and exactly one
+	// result reaches the prefix cache.
 	Lanes []PrefillLane
 	// Health, when set, ranks lanes per request, derives the adaptive
 	// hedge deadline, and is fed every prefill exec's latency/outcome —
 	// the same scorer the serving engine and pool consume.
 	Health *health.Set
-	// HedgePrefill issues the prefill to a second lane when the first
-	// has not answered within the adaptive deadline; the first result
-	// wins, the loser is cancelled (deliberately poisoning its conn —
-	// the fail-slow lane becomes fail-stop and its lane gate sees it),
-	// and exactly one result reaches the prefix cache.
-	HedgePrefill bool
 	// HedgeFloor is the minimum wait before hedging (default 25ms); the
-	// adaptive deadline (health.Config.HedgeFactor × the healthiest
+	// adaptive deadline (health.Set.HedgeDeadline: 4 × the healthiest
 	// lane's EWMA) never drops below it.
 	HedgeFloor time.Duration
 }
@@ -185,12 +184,13 @@ func (sp *Split) execOnLane(ctx context.Context, ln PrefillLane, ex *transport.E
 }
 
 // execPrefill dispatches the phase-1 exec: straight through on a single
-// lane, hedged across the two healthiest when enabled. Exactly one
-// ExecOK ever comes back, so downstream cache insertion and ΔKV handoff
-// see one winner no matter how many lanes raced.
+// lane, hedged across the two healthiest when there are two or more
+// lanes. Exactly one ExecOK ever comes back, so downstream cache
+// insertion and ΔKV handoff see one winner no matter how many lanes
+// raced.
 func (sp *Split) execPrefill(ctx context.Context, ex *transport.Exec) (*transport.ExecOK, error) {
 	lanes := sp.rankedLanes()
-	if !sp.cfg.HedgePrefill || len(lanes) < 2 {
+	if len(lanes) < 2 {
 		return sp.execOnLane(ctx, lanes[0], ex)
 	}
 	return sp.hedgeExec(ctx, lanes[0], lanes[1], ex)

@@ -578,21 +578,3 @@ func (b *Builder) AnnotateStatefulNode(id srg.NodeID, key string) {
 	}
 	n.Attrs["state_key"] = key
 }
-
-// RoPE captures rotary position embedding of x [t, dim] for rows at
-// absolute positions startPos… (base 10000 when base <= 0).
-//
-//lint:ignore deadexport SRG builder op: capture tests pin rope's shape inference
-func (b *Builder) RoPE(x Value, startPos int, base float64) Value {
-	b.check(x)
-	s := x.meta.Shape
-	if s.Rank() != 2 || s[1]%2 != 0 {
-		panic(fmt.Sprintf("lazy: rope of %v", s))
-	}
-	v := b.unary("rope", x, 6)
-	b.g.Node(v.id).Attrs = map[string]string{
-		"start": strconv.Itoa(startPos),
-		"base":  strconv.FormatFloat(base, 'g', -1, 64),
-	}
-	return v
-}

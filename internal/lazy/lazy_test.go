@@ -327,9 +327,6 @@ func TestCaptureOpPanicsTableDriven(t *testing.T) {
 	mustPanic("meanpool rank", func(b *Builder) {
 		b.MeanPoolAll(b.Input("x", tensor.New(tensor.F32, 4)))
 	})
-	mustPanic("rope odd dim", func(b *Builder) {
-		b.RoPE(b.Input("x", tensor.New(tensor.F32, 2, 3)), 0, 0)
-	})
 	mustPanic("causal mask rank", func(b *Builder) {
 		b.CausalMask(b.Input("x", tensor.New(tensor.F32, 3)), 0)
 	})

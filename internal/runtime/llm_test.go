@@ -217,22 +217,6 @@ func TestModeStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMetricsUtilization(t *testing.T) {
-	m := Metrics{Wall: 100, GPUBusy: 25}
-	if m.Utilization() != 0.25 {
-		t.Errorf("utilization %v", m.Utilization())
-	}
-	if (Metrics{}).Utilization() != 0 {
-		t.Error("zero wall should be zero utilization")
-	}
-	var sum Metrics
-	sum.Add(m)
-	sum.Add(m)
-	if sum.Wall != 200 || sum.GPUBusy != 50 {
-		t.Errorf("add: %+v", sum)
-	}
-}
-
 func TestZeroStepsPrefillOnly(t *testing.T) {
 	r, _ := newRunner(t, 3)
 	res, err := r.Generate(ModeSemAware, testPrompt, 0)

@@ -183,9 +183,8 @@ func (r row) build(t *testing.T) rig {
 		a, b, dec := add(), add(), add()
 		g.split = newSplit(t, kvcache.SplitConfig{
 			Model: m, Decode: dec, DecodeCounters: dec.Conn().Counters(), Cache: g.cache,
-			Lanes:        []kvcache.PrefillLane{{Name: "a", EP: a}, {Name: "b", EP: b}},
-			HedgePrefill: true,
-			HedgeFloor:   time.Nanosecond, // every prefill races both lanes
+			Lanes:      []kvcache.PrefillLane{{Name: "a", EP: a}, {Name: "b", EP: b}},
+			HedgeFloor: time.Nanosecond, // every prefill races both lanes
 		})
 		g.runner = g.split.Runner()
 	default:

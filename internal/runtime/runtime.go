@@ -97,25 +97,6 @@ type Metrics struct {
 	GPUBusy time.Duration
 }
 
-// Add accumulates.
-func (m *Metrics) Add(o Metrics) {
-	m.Wall += o.Wall
-	m.NetBytes += o.NetBytes
-	m.RPCCalls += o.RPCCalls
-	m.GPUBusy += o.GPUBusy
-}
-
-// Utilization returns GPU busy time over wall time (the evaluation's
-// "GPU Util" column).
-//
-//lint:ignore deadexport test reference: the evaluation's GPU-util column, checked by runtime tests
-func (m Metrics) Utilization() float64 {
-	if m.Wall == 0 {
-		return 0
-	}
-	return float64(m.GPUBusy) / float64(m.Wall)
-}
-
 // BindAll resolves every leaf of a builder's graph from its registered
 // data — the local execution binder.
 func BindAll(b *lazy.Builder) exec.Binder {

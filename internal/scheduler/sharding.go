@@ -31,34 +31,14 @@ func shardByMemory(g *srg.Graph, cs *cluster.State, home cluster.AcceleratorID) 
 		return nil, nil // fits: no sharding
 	}
 
-	// Group compute nodes by their top-level module unit (e.g.
-	// "gpt.blocks.3" or "cnn.stages.1"); ungrouped nodes attach to the
-	// previous group so boundaries stay clean.
-	groups, order := moduleGroups(g)
-	if len(order) < 2 {
+	// Module units (e.g. "gpt.blocks.3" or "cnn.stages.1") in
+	// topological order, each carrying the weights it first consumes.
+	units := Units(g)
+	if len(units) < 2 {
 		return nil, fmt.Errorf("scheduler: weights (%d B) exceed device memory (%d B) and the graph has no module boundaries to shard across", totalWeights, budget)
 	}
 
-	// Per-group weight footprint: params consumed by the group's nodes.
-	paramOwner := map[srg.NodeID]string{}
-	for _, gname := range order {
-		for _, id := range groups[gname] {
-			for _, in := range g.Node(id).Inputs {
-				dep := g.Node(in)
-				if dep.Op == "param" {
-					if _, claimed := paramOwner[in]; !claimed {
-						paramOwner[in] = gname
-					}
-				}
-			}
-		}
-	}
-	weightOf := map[string]int64{}
-	for pid, gname := range paramOwner {
-		weightOf[gname] += g.Node(pid).Output.Bytes()
-	}
-
-	// Greedy packing of consecutive groups onto remote devices.
+	// Greedy packing of consecutive units onto remote devices.
 	remote := cs.Remote()
 	place := map[srg.NodeID]cluster.AcceleratorID{}
 	devIdx := 0
@@ -67,18 +47,18 @@ func shardByMemory(g *srg.Graph, cs *cluster.State, home cluster.AcceleratorID) 
 		a := remote[i]
 		return a.Spec.MemBytes - cs.ResidentBytes(a.ID)
 	}
-	for _, gname := range order {
-		need := weightOf[gname]
+	for _, u := range units {
+		need := u.WeightBytes
 		for devIdx < len(remote) && used+need > devBudget(devIdx) && used > 0 {
 			devIdx++
 			used = 0
 		}
 		if devIdx >= len(remote) || need > devBudget(devIdx) {
-			return nil, fmt.Errorf("scheduler: model does not fit across the pool (group %q needs %d B)", gname, need)
+			return nil, fmt.Errorf("scheduler: model does not fit across the pool (group %q needs %d B)", u.Name, need)
 		}
 		used += need
 		dev := remote[devIdx].ID
-		for _, id := range groups[gname] {
+		for _, id := range u.Nodes {
 			place[id] = dev
 		}
 	}
@@ -166,8 +146,9 @@ type Unit struct {
 }
 
 // Units decomposes a graph into module-level shard units in topological
-// order — the generalization of shardByMemory's grouping that
-// pool.ShardPlan builds on.
+// order — the grouping both shardByMemory and pool.ShardPlan place.
+// Ungrouped nodes attach to the previous unit so boundaries stay clean,
+// and each param's weight counts toward the first unit that consumes it.
 func Units(g *srg.Graph) []Unit {
 	groups, order := moduleGroups(g)
 	paramOwner := map[srg.NodeID]string{}

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"genie/internal/compute"
 	"genie/internal/global"
 	"genie/internal/health"
 	"genie/internal/models"
@@ -67,10 +66,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// Clock is injectable for deterministic tests; nil = wall clock.
 	Clock Clock
-	// KernelWorkers, when positive, resizes the process-wide compute
-	// pool the CPU kernels run on (1 = serial). Zero keeps the current
-	// pool — GOMAXPROCS workers unless GENIE_KERNEL_WORKERS overrode it.
-	KernelWorkers int
 	// Tracer records request-scoped spans through admission, queueing,
 	// prefill, and every decode step. Nil disables tracing — the
 	// zero-cost path (one nil check per would-be span). The engine does
@@ -292,9 +287,6 @@ func NewEngine(cfg Config, backends []Backend) (*Engine, error) {
 		return nil, fmt.Errorf("serve: no backends")
 	}
 	cfg.fillDefaults()
-	if cfg.KernelWorkers > 0 {
-		compute.Configure(cfg.KernelWorkers)
-	}
 	e := &Engine{
 		cfg:          cfg,
 		clock:        cfg.Clock,

@@ -5,59 +5,6 @@ import (
 	"time"
 )
 
-func TestEventsRunInTimeOrder(t *testing.T) {
-	s := New()
-	var got []int
-	s.Schedule(3*time.Second, func() { got = append(got, 3) })
-	s.Schedule(1*time.Second, func() { got = append(got, 1) })
-	s.Schedule(2*time.Second, func() { got = append(got, 2) })
-	end := s.Run()
-	if end != 3*time.Second {
-		t.Errorf("final time %v", end)
-	}
-	for i, v := range []int{1, 2, 3} {
-		if got[i] != v {
-			t.Fatalf("order %v", got)
-		}
-	}
-}
-
-func TestSameTimeEventsFIFO(t *testing.T) {
-	s := New()
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.Schedule(time.Second, func() { got = append(got, i) })
-	}
-	s.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("fifo violated: %v", got)
-		}
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	s := New()
-	var fired time.Duration
-	s.Schedule(time.Second, func() {
-		s.Schedule(2*time.Second, func() { fired = s.Now() })
-	})
-	s.Run()
-	if fired != 3*time.Second {
-		t.Errorf("nested event at %v", fired)
-	}
-}
-
-func TestNegativeDelayClamps(t *testing.T) {
-	s := New()
-	ran := false
-	s.Schedule(-time.Second, func() { ran = true })
-	if s.Run() != 0 || !ran {
-		t.Error("negative delay should fire at t=0")
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	r := NewResource("gpu")
 	s1, e1 := r.ReserveAt(0, time.Second)
@@ -74,14 +21,11 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 5*time.Second {
 		t.Errorf("third reservation at %v", s3)
 	}
-	if r.Busy() != 3*time.Second {
-		t.Errorf("busy %v", r.Busy())
-	}
 	if r.FreeAt() != 6*time.Second {
 		t.Errorf("free at %v", r.FreeAt())
 	}
 	r.Reset()
-	if r.Busy() != 0 || r.FreeAt() != 0 {
+	if r.FreeAt() != 0 {
 		t.Error("reset failed")
 	}
 }
