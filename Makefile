@@ -109,8 +109,9 @@ brownout:
 # from the token log (bit-identical KV and tokens from one prefill, the
 # session core's repair rule), and crash/leave mid-decode in the pool and
 # the serving engine (bit-identical tokens after recovery, one prefill
-# of recovery cost). GENIE_CHAOS_SEED pins the fault schedule when
-# reproducing.
+# of recovery cost), and the end-to-end crash run checked against its
+# fault-free baseline's tokens (internal/eval). GENIE_CHAOS_SEED pins
+# the fault schedule when reproducing.
 # Every alternative below names at least one test (go test -list): a
 # regex that matches nothing passes silently.
 chaos:
@@ -119,3 +120,4 @@ chaos:
 	$(GO) test -race -count=$(COUNT) ./internal/runtime/ -run 'Resume'
 	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run 'CrashMidDecode|LeaveMidDecode'
 	$(GO) test -race -count=$(COUNT) ./internal/serve/ -run 'Crash|HungPeer|RetryBudget|Trip|CallerDeadline'
+	$(GO) test -race -count=$(COUNT) ./internal/eval/ -run 'ChaosServing'

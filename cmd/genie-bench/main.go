@@ -458,7 +458,7 @@ func livePoolRow(cfg models.GPTConfig, ways int) (poolRow, error) {
 	if err := add("spare"); err != nil {
 		return poolRow{}, err
 	}
-	victim := mgr.Plan().Owners[0]
+	victim := mgr.Plan().Members()[0]
 	rebuildStart := time.Now()
 	if err := mgr.Leave(victim); err != nil {
 		return poolRow{}, err

@@ -254,7 +254,7 @@ func main() {
 			log.Fatal("genie-gateway: pool has no feasible shard plan (add members or raise -pool-mem-bytes)")
 		}
 		log.Printf("genie-gateway: pool sharded %s across %d member(s), %d cut edge(s)",
-			strat, len(plan.Members()), plan.CutEdges)
+			strat, len(plan.Members()), len(plan.Shards())-1)
 		lanes = append(lanes, serve.Backend{Name: "pool", Runner: mgr.Runner()})
 		poolStats = func() any { return mgr.Status() }
 	} else if *splitPrefill {

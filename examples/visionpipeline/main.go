@@ -4,7 +4,8 @@
 // accelerators so a stream of images overlaps communication and
 // computation. The example compares simulated stream completion time for
 // single-device vs pipelined plans, then runs one image for real over
-// two in-process backends to show the plan executes correctly.
+// two in-process backends through the plan executor to show the plan
+// executes correctly.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"genie"
+	"genie/internal/runtime"
 	"genie/internal/simnet"
 	"genie/internal/srg"
 	"genie/internal/transport"
@@ -59,9 +61,23 @@ func main() {
 	fmt.Printf("simulated %d-image stream: sequential %v, pipelined %v (%.2fx)\n",
 		stream, seqDone, pipeDone, float64(seqDone)/float64(pipeDone))
 
-	// Execute the plan for real: every node on its assigned in-process
-	// backend, activations crossing between them.
-	logits := executePlanAcrossBackends(b, pipelined, out.Logits)
+	// Execute the plan for real: each device's segment runs as one Exec
+	// on its own in-process backend, activations crossing between them.
+	eps := map[genie.AcceleratorID]runtime.Endpoint{}
+	for _, id := range []genie.AcceleratorID{"gpu0", "gpu1"} {
+		cconn, sconn := transport.Pipe(nil, nil)
+		srv := genie.NewServer(genie.A100)
+		go func() { _ = srv.Serve(sconn) }()
+		client := transport.NewClient(cconn)
+		defer client.Close()
+		eps[id] = client
+	}
+	pe := &runtime.PlanExecutor{EPs: eps}
+	vals, err := pe.Execute(pipelined, b, []srg.NodeID{out.Logits})
+	if err != nil {
+		log.Fatal(err)
+	}
+	logits := vals[out.Logits]
 	fmt.Printf("real 2-backend execution: logits %v, argmax class %d\n",
 		logits.Shape(), argmax(logits.F32()))
 }
@@ -100,66 +116,6 @@ func simulateStream(plan *genie.Plan, model *genie.CostModel, pool *genie.Cluste
 		end = at
 	}
 	return end
-}
-
-// executePlanAcrossBackends walks the plan topologically, running each
-// node on its assigned backend server and carrying cross-device values
-// through the client.
-func executePlanAcrossBackends(b *genie.Builder, plan *genie.Plan, want srg.NodeID) *genie.Tensor {
-	servers := map[genie.AcceleratorID]*genie.Server{
-		"gpu0": genie.NewServer(genie.A100),
-		"gpu1": genie.NewServer(genie.A100),
-	}
-	g := b.Graph()
-	vals := map[srg.NodeID]*genie.Tensor{}
-	// Bind leaves locally, execute compute nodes via per-node exec on
-	// the owning server (single-node subgraphs keep the example small).
-	for _, n := range g.Nodes() {
-		switch n.Op {
-		case "param":
-			t, _ := b.ParamData(n.Ref)
-			vals[n.ID] = t
-		case "input":
-			t, _ := b.InputData(n.Ref)
-			vals[n.ID] = t
-		default:
-			srv := servers[plan.DeviceOf(n.ID)]
-			out, err := execSingle(srv, g, n, vals)
-			if err != nil {
-				log.Fatal(err)
-			}
-			vals[n.ID] = out
-		}
-	}
-	return vals[want]
-}
-
-func execSingle(srv *genie.Server, g *genie.Graph, n *genie.Node, vals map[srg.NodeID]*genie.Tensor) (*genie.Tensor, error) {
-	// Build a one-op subgraph with leaf inputs bound inline.
-	sub := srg.New("node")
-	var leafIDs []srg.NodeID
-	for i, in := range n.Inputs {
-		leaf := &srg.Node{Op: "input", Ref: fmt.Sprint("in", i), Output: g.Node(in).Output}
-		id, err := sub.Add(leaf)
-		if err != nil {
-			return nil, err
-		}
-		leafIDs = append(leafIDs, id)
-	}
-	node := &srg.Node{Op: n.Op, Attrs: n.Attrs, Inputs: leafIDs, Output: n.Output, Cost: n.Cost}
-	outID, err := sub.Add(node)
-	if err != nil {
-		return nil, err
-	}
-	ex := &transport.Exec{Graph: sub, Want: []srg.NodeID{outID}}
-	for i, in := range n.Inputs {
-		ex.Binds = append(ex.Binds, transport.Binding{Ref: fmt.Sprint("in", i), Inline: vals[in]})
-	}
-	ok, err := srv.Exec(ex)
-	if err != nil {
-		return nil, err
-	}
-	return ok.Results[outID], nil
 }
 
 func argmax(v []float32) int {

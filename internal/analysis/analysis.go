@@ -5,11 +5,29 @@
 //
 // The analyzers enforce the semantic invariants the paper argues a
 // disaggregation layer must preserve and that ordinary Go tooling cannot
-// see: context propagation across the remote-execution path (ctxflow),
-// no locks held across transport calls (lockscope), cancellable
-// goroutines in the serving layers (goleak), no silently dropped errors
-// (errcheck), and immutability of materialized tensors outside the
-// kernel packages (tensormut).
+// see:
+//
+//   - ctxflow: context propagation across the remote-execution path
+//   - lockscope: no mutex held across a transport call, channel
+//     operation or sleep
+//   - goleak: cancellable goroutines in the serving layers
+//   - errcheck: no silently dropped errors
+//   - tensormut: materialized tensors are immutable outside the kernel
+//     packages
+//   - retrynaked: no retry loop around a remote call without backoff or
+//     cancellation
+//   - kvscope: session KV keys are scope-prefixed and bound only by the
+//     plan owners
+//   - planver: no plan snapshot read after a rebuild replaced it
+//   - spanbalance: every obs span started is ended on every path
+//   - timerleak: no timer allocated per loop iteration without Stop
+//   - deadexport: no exported internal API that only tests reach
+//
+// Every check must show that it can still fire: mutation_test.go edits
+// today's source in memory, one realistic edit per analyzer, and
+// asserts that the check reports at the edited line. A check for which
+// no compiling edit of the real tree exists guards something the type
+// system already rules out, and is deleted rather than kept.
 //
 // Deliberate exceptions are encoded in the source as
 //
@@ -53,9 +71,7 @@ type Pass struct {
 	// pretends to live at, so analyzers scope identically in tests.
 	ScopePath string
 	// Prog is the module-wide interprocedural index (call graph +
-	// fixpoint summaries), shared by every analyzer in a run. May be
-	// nil, in which case analyzers fall back to their intraprocedural
-	// rules.
+	// fixpoint summaries), shared by every analyzer in a run. Never nil.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -99,7 +115,6 @@ func Analyzers() []*Analyzer {
 		KvscopeAnalyzer,
 		PlanverAnalyzer,
 		SpanbalanceAnalyzer,
-		AtomicmixAnalyzer,
 		TimerleakAnalyzer,
 		DeadexportAnalyzer,
 	}
@@ -107,7 +122,8 @@ func Analyzers() []*Analyzer {
 
 // RunAnalyzer applies one analyzer to a loaded package and returns its
 // raw diagnostics (ignore directives are applied by the driver). prog
-// carries the shared interprocedural summaries and may be nil.
+// carries the shared interprocedural summaries and must be non-nil:
+// build it with BuildProgram over everything the loader saw.
 func RunAnalyzer(a *Analyzer, pkg *Package, prog *Program) []Diagnostic {
 	if a.AppliesTo != nil && !a.AppliesTo(pkg.ScopePath()) {
 		return nil

@@ -53,10 +53,6 @@ func TestSpanbalanceFixture(t *testing.T) {
 	runWantTest(t, "spanbalance", fixtureDir("internal", "serve", "spandata"))
 }
 
-func TestAtomicmixFixture(t *testing.T) {
-	runWantTest(t, "atomicmix", fixtureDir("internal", "serve", "atomicmixdata"))
-}
-
 func TestTimerleakFixture(t *testing.T) {
 	runWantTest(t, "timerleak", fixtureDir("internal", "serve", "timerleakdata"))
 }

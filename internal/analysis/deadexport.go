@@ -183,7 +183,7 @@ func originOf(obj types.Object) types.Object {
 }
 
 func runDeadexport(pass *Pass) {
-	if pass.Prog == nil || !pass.Prog.refs.complete {
+	if !pass.Prog.refs.complete {
 		return
 	}
 	idx := pass.Prog.refs

@@ -30,7 +30,7 @@ import (
 // scorer's probe and hedge paths spawn racing goroutines whose losers
 // must be cancelled, not abandoned). A goroutine is flagged when its
 // body (the literal, or the function/method it calls — resolved
-// cross-package through the interprocedural Program when available)
+// cross-package through the interprocedural Program)
 // contains an unconditional `for { ... }` loop with no cancellation
 // signal anywhere in the body: no channel receive, no select, no
 // ranging over a channel, and no context Done/Err check. The summaries
@@ -88,9 +88,6 @@ func runGoleak(pass *Pass) {
 // loopingCallee finds a call in body to a module-local function whose
 // interprocedural summary loops forever.
 func loopingCallee(pass *Pass, body *ast.BlockStmt, info *types.Info) *types.Func {
-	if pass.Prog == nil {
-		return nil
-	}
 	var found *types.Func
 	walkIgnoringFuncLits(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -34,8 +35,9 @@ const (
 // many there are. A file directive suppresses the named check across
 // its whole file and is meant for files that are exceptions by design
 // (e.g. a chaos injector whose entire job is to do the forbidden
-// thing). A missing check or reason makes the directive malformed,
-// which the driver reports as a finding of its own — silent broad
+// thing). A missing check or reason, or a check ID that names no
+// registered analyzer (a typo, or a deleted check), makes the directive
+// malformed, which the driver reports as a finding of its own — silent
 // suppressions are exactly the failure mode this tool exists to
 // prevent. "all" is rejected for file-ignore: a file exempt from every
 // check should not be under analysis at all.
@@ -64,6 +66,8 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) []ignoreDirective {
 					d.broken = "missing reason (format: //" + directiveName(fileWide) + " <check> <reason>)"
 				case fileWide && fields[0] == "all":
 					d.broken = `file-ignore does not accept "all"; name the check being exempted`
+				case fields[0] != "all" && !isCheck(fields[0]):
+					d.broken = fmt.Sprintf("unknown check %q", fields[0])
 				default:
 					d.check = fields[0]
 				}
@@ -72,6 +76,16 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) []ignoreDirective {
 		}
 	}
 	return out
+}
+
+// isCheck reports whether name is a registered analyzer's check ID.
+func isCheck(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func directiveName(fileWide bool) string {

@@ -61,28 +61,28 @@ func TestIgnoreAllOnLine(t *testing.T) {
 // check across its whole file — and only there, and only that check.
 func TestFileIgnoreDirective(t *testing.T) {
 	directives := parseIgnores(t, `// Package p.
-//lint:file-ignore chaosgate this file IS the chaos injector
+//lint:file-ignore timerleak this file IS the chaos injector
 package p
 `)
 	if len(directives) != 1 {
 		t.Fatalf("got %d directives, want 1: %+v", len(directives), directives)
 	}
 	d := directives[0]
-	if !d.fileWide || d.check != "chaosgate" || d.broken != "" {
+	if !d.fileWide || d.check != "timerleak" || d.broken != "" {
 		t.Fatalf("bad parse: %+v", d)
 	}
 	diags := []Diagnostic{
-		{Check: "chaosgate", File: "ignores.go", Line: 10},
-		{Check: "chaosgate", File: "ignores.go", Line: 400},
+		{Check: "timerleak", File: "ignores.go", Line: 10},
+		{Check: "timerleak", File: "ignores.go", Line: 400},
 		{Check: "goleak", File: "ignores.go", Line: 10, Message: "other check, must survive"},
-		{Check: "chaosgate", File: "other.go", Line: 10, Message: "other file, must survive"},
+		{Check: "timerleak", File: "other.go", Line: 10, Message: "other file, must survive"},
 	}
 	out := applyIgnores(diags, directives)
 	if len(out) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 survivors: %+v", len(out), out)
 	}
 	for _, d := range out {
-		if d.Check == "chaosgate" && d.File == "ignores.go" {
+		if d.Check == "timerleak" && d.File == "ignores.go" {
 			t.Fatalf("file-ignore failed to suppress %+v", d)
 		}
 	}
@@ -135,6 +135,16 @@ func TestMalformedDirectiveAudit(t *testing.T) {
 			name:    "file directive with check but no reason",
 			src:     "package p\n\n//lint:file-ignore goleak\n",
 			wantMsg: "missing reason (format: //lint:file-ignore <check> <reason>)",
+		},
+		{
+			name:    "line directive naming no registered check",
+			src:     "package p\n\n//lint:ignore atomicmix the check was deleted\n",
+			wantMsg: `unknown check "atomicmix"`,
+		},
+		{
+			name:    "file directive with a misspelled check",
+			src:     "package p\n\n//lint:file-ignore timerlaek chaos injector\n",
+			wantMsg: `unknown check "timerlaek"`,
 		},
 	}
 	for _, tc := range cases {

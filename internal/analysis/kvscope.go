@@ -87,9 +87,6 @@ func runKvscope(pass *Pass) {
 					}
 				}
 			case *ast.CallExpr:
-				if pass.Prog == nil {
-					return true
-				}
 				callee := calleeFunc(pass.Info, n)
 				if callee == nil {
 					return true

@@ -26,6 +26,9 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package // import path -> loaded package
 	loading map[string]bool     // import-cycle guard
+	// overlay replaces the contents of the named files (absolute paths)
+	// without touching the disk; the mutation test edits source here.
+	overlay map[string][]byte
 }
 
 // Package is one loaded, type-checked package.
@@ -153,7 +156,12 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", abs)
 	}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments)
+		file := filepath.Join(abs, name)
+		var src any // nil: read the file from disk
+		if b, ok := l.overlay[file]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(l.Fset, file, src, parser.ParseComments)
 		if err != nil {
 			p.Errs = append(p.Errs, err)
 			continue

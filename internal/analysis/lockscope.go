@@ -213,7 +213,7 @@ func (ls *lockScanner) blockingCall(call *ast.CallExpr) (string, bool) {
 	}
 	// Interprocedural: a module-local callee that may block transitively
 	// is the same hazard as a direct blocking op.
-	if ls.pass.Prog != nil && fn.Name() != "Close" &&
+	if fn.Name() != "Close" &&
 		!(blockingPkgs[pkg] && pkg == ls.pass.Pkg.Path()) {
 		if sum, ok := ls.pass.Prog.Summary(fn); ok && sum.Blocks {
 			return fn.Name() + " (blocks transitively: " + sum.BlockReason + ")", true

@@ -3,29 +3,25 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 )
 
-// PlanverAnalyzer enforces ShardPlan immutability and plan-snapshot
-// freshness. A ShardPlan is a versioned snapshot of pool membership:
-// its Version is the epoch the KV-ownership argument hangs off
-// (DESIGN.md §10), so every mutation must go through the constructors
-// in internal/pool/plan.go, which bump the version as part of building
-// a new plan. Two rules:
+// PlanverAnalyzer enforces plan-snapshot freshness. A ShardPlan is a
+// versioned snapshot of pool membership: its version is the epoch the
+// KV-ownership argument hangs off (DESIGN.md §10). Its fields are
+// unexported, so only internal/pool can build or change a plan; that
+// half of the invariant is a type property and needs no check. What
+// the types cannot say is when a snapshot went stale: a *ShardPlan
+// local captured before a rebuild section runs (any call that — per
+// the interprocedural summaries — replaces a plan field: swapPlan,
+// rebuild, evict, Join, Leave, and anything that calls them) is stale
+// afterwards; reading it is reading a membership epoch that may no
+// longer exist.
 //
-//  1. ShardPlan fields may be assigned only inside internal/pool's
-//     plan.go — everywhere else a plan is read-only
-//  2. a *ShardPlan local captured before a rebuild section runs
-//     (any call that — per the interprocedural summaries — replaces a
-//     plan field: swapPlan, rebuild, evict, Join, Leave, and anything
-//     that calls them) is stale afterwards; reading it is reading a
-//     membership epoch that may no longer exist
-//
-// Rule 2 needs the call graph: reportExecFailure looks nothing like a
+// The rule needs the call graph: reportExecFailure looks nothing like a
 // rebuild at the call site — it becomes one three calls down.
 var PlanverAnalyzer = &Analyzer{
 	Name: "planver",
-	Doc:  "ShardPlan mutated only by version-bumping constructors; no stale plan reads after rebuilds",
+	Doc:  "no stale ShardPlan snapshot read after a rebuild replaced the plan",
 	AppliesTo: func(scope string) bool {
 		return hasPrefixPath(scope, "genie/internal")
 	},
@@ -33,41 +29,10 @@ var PlanverAnalyzer = &Analyzer{
 }
 
 func runPlanver(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					pass.checkPlanMutation(lhs)
-				}
-			case *ast.IncDecStmt:
-				pass.checkPlanMutation(n.X)
-			}
-			return true
-		})
-	}
 	funcBodies(pass.Files, func(name string, body *ast.BlockStmt) {
 		ps := &planScan{pass: pass, reported: make(map[types.Object]bool)}
 		ps.block(body.List, make(map[types.Object]*planLocal))
 	})
-}
-
-// checkPlanMutation reports a field write through a ShardPlan value
-// outside the constructor file.
-func (p *Pass) checkPlanMutation(lhs ast.Expr) {
-	sel, ok := unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if !isScopedNamed(typeOfExpr(p.Info, sel.X), "genie/internal/pool", "ShardPlan") {
-		return
-	}
-	file := filepath.Base(p.Fset.Position(sel.Pos()).Filename)
-	if file == "plan.go" && hasPrefixPath(p.ScopePath, "genie/internal/pool") {
-		return
-	}
-	p.Reportf(sel.Pos(),
-		"ShardPlan field %s assigned outside the plan constructors (internal/pool/plan.go); plans are immutable versioned snapshots — build a new plan with a bumped Version", sel.Sel.Name)
 }
 
 // planLocal tracks one *ShardPlan-typed local.
@@ -192,7 +157,7 @@ func (ps *planScan) block(stmts []ast.Stmt, st map[types.Object]*planLocal) {
 
 // expr walks an expression in evaluation order: a rebuild call
 // invalidates tracked snapshots only after its arguments are read, so
-// `m.swapPlan(pl.finish(old.Strategy, ...), ...)` does not flag old.
+// `m.swapPlan(pl.finish(old.strategy, ...), ...)` does not flag old.
 func (ps *planScan) expr(e ast.Expr, st map[types.Object]*planLocal) {
 	switch e := unparen(e).(type) {
 	case nil:
@@ -237,9 +202,6 @@ func (ps *planScan) expr(e ast.Expr, st map[types.Object]*planLocal) {
 // applyCall marks every tracked snapshot stale when the callee's
 // summary says it (transitively) rebuilds the plan.
 func (ps *planScan) applyCall(call *ast.CallExpr, st map[types.Object]*planLocal) {
-	if ps.pass.Prog == nil {
-		return
-	}
 	callee := calleeFunc(ps.pass.Info, call)
 	if callee == nil {
 		return

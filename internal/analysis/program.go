@@ -124,9 +124,6 @@ func BuildProgram(pkgs []*Package) *Program {
 // Summary returns the fixpoint summary of fn, if fn is a module-local
 // declared function the program indexed.
 func (p *Program) Summary(fn *types.Func) (Summary, bool) {
-	if p == nil || fn == nil {
-		return Summary{}, false
-	}
 	pf, ok := p.fns[fn]
 	if !ok {
 		return Summary{}, false
@@ -137,9 +134,6 @@ func (p *Program) Summary(fn *types.Func) (Summary, bool) {
 // Decl resolves fn to its declaration and owning package (nil, nil when
 // fn is not module-local or has no body).
 func (p *Program) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	if p == nil || fn == nil {
-		return nil, nil
-	}
 	pf, ok := p.fns[fn]
 	if !ok {
 		return nil, nil
@@ -377,7 +371,7 @@ func (pf *progFunc) seedCall(info *types.Info, call *ast.CallExpr) {
 			pf.seedRemote("transport." + name)
 		}
 	case "genie/internal/runtime":
-		if strings.HasSuffix(recv, "runtime.Endpoint") {
+		if isEndpointMethod(callee) {
 			pf.seedRemote("Endpoint." + name)
 		}
 	}

@@ -128,15 +128,3 @@ func TestSummaryEndsSpanParams(t *testing.T) {
 		t.Error("keepsOpen: EndsSpanParams marks param 0, but SetAttr does not end the span")
 	}
 }
-
-// TestSummaryNilProgram pins nil-safety: analyzers run with a nil
-// Program must fall back silently.
-func TestSummaryNilProgram(t *testing.T) {
-	var prog *Program
-	if _, ok := prog.Summary(nil); ok {
-		t.Error("nil Program must report no summaries")
-	}
-	if d, p := prog.Decl(nil); d != nil || p != nil {
-		t.Error("nil Program must resolve no declarations")
-	}
-}

@@ -57,7 +57,7 @@ func runRetrynaked(pass *Pass) {
 // cancellation signal that would make the retry polite.
 type retryScan struct {
 	info       *types.Info
-	prog       *Program // interprocedural summaries (may be nil)
+	prog       *Program // interprocedural summaries
 	remote     ast.Node // first remote call found in the body
 	remoteName string
 	retries    bool // error-driven control flow (continue-on-error / exit-on-success)
@@ -112,21 +112,22 @@ func (s *retryScan) classifyCall(call *ast.CallExpr) {
 		}
 		s.noteRemote(call, "transport."+name)
 	case "genie/internal/runtime":
-		// Methods of the runtime.Endpoint interface are remote by
-		// definition — every implementation crosses the wire.
-		if strings.HasSuffix(recvTypeString(fn), "runtime.Endpoint") {
+		// Methods of the runtime.Endpoint and Executor interfaces are
+		// remote by definition — every implementation crosses the wire.
+		// Any other runtime function is judged by its summary below.
+		if isEndpointMethod(fn) {
 			s.noteRemote(call, "Endpoint."+name)
+			return
 		}
+		fallthrough
 	default:
 		// Interprocedural: a module-local helper whose summary says it
 		// reaches a remote operation is a retry target the AST-local
 		// pass cannot see. Pacing stays a loop-body-local judgment —
 		// a sleep buried inside the callee is not backoff between
 		// *these* attempts.
-		if s.prog != nil {
-			if sum, ok := s.prog.Summary(fn); ok && sum.Remote {
-				s.noteRemote(call, sum.RemoteName+" (via "+name+")")
-			}
+		if sum, ok := s.prog.Summary(fn); ok && sum.Remote {
+			s.noteRemote(call, sum.RemoteName+" (via "+name+")")
 		}
 	}
 }

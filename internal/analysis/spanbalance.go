@@ -289,11 +289,7 @@ func (sc *spanScanner) scanExpr(e ast.Expr, st map[types.Object]spanVar) {
 			sc.scanExpr(e.Fun, st)
 		}
 		callee := calleeFunc(sc.pass.Info, e)
-		var sum Summary
-		var haveSum bool
-		if sc.pass.Prog != nil && callee != nil {
-			sum, haveSum = sc.pass.Prog.Summary(callee)
-		}
+		sum, haveSum := sc.pass.Prog.Summary(callee)
 		for j, arg := range e.Args {
 			if id, ok := unparen(arg).(*ast.Ident); ok && sc.trackedObj(id, st) != nil {
 				if haveSum && sum.EndsSpanParams[j] {

@@ -100,13 +100,15 @@ func viewStore(pass *Pass, tainted map[types.Object]bool, lhs ast.Expr) (token.P
 }
 
 // isRawView reports whether e is a raw-view call or a local bound to
-// one.
+// one, or a slice of either (a slice shares the backing store).
 func isRawView(pass *Pass, tainted map[types.Object]bool, e ast.Expr) bool {
 	switch e := unparen(e).(type) {
 	case *ast.CallExpr:
 		return viewMethods[tensorMethod(pass, e)]
 	case *ast.Ident:
 		return tainted[pass.Info.Uses[e]]
+	case *ast.SliceExpr:
+		return isRawView(pass, tainted, e.X)
 	}
 	return false
 }

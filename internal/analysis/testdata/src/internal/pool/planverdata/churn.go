@@ -1,5 +1,6 @@
-// churn.go is everything plan.go is not allowed to be: in-place plan
-// mutation and stale snapshot reads across a rebuild section.
+// Package planverdata is genie-lint test fixture data for the
+// plan-snapshot freshness analyzer: stale snapshot reads across a
+// rebuild section, and the shapes that are not stale.
 package planverdata
 
 import "genie/internal/pool"
@@ -14,31 +15,28 @@ func (m *mgr) swapPlan(pl *pool.ShardPlan) {
 	m.plan = pl
 }
 
-// mutateInPlace edits a live plan outside the constructor file.
-func (m *mgr) mutateInPlace() {
-	m.plan.Version++    // want "ShardPlan field Version assigned outside the plan constructors"
-	m.plan.CutEdges = 0 // want "ShardPlan field CutEdges assigned outside the plan constructors"
-}
+// next stands in for the pool's constructors.
+func next(*pool.ShardPlan) *pool.ShardPlan { return &pool.ShardPlan{} }
 
 // staleRead keeps using a snapshot captured before the rebuild: the
 // membership epoch it describes may be gone.
-func (m *mgr) staleRead(owners []string) string {
+func (m *mgr) staleRead() string {
 	snap := m.plan
-	m.swapPlan(build(snap.Version+1, owners))
-	return snap.Owners[0] // want "plan snapshot \"snap\" read after swapPlan rebuilt the plan"
+	m.swapPlan(next(snap))
+	return snap.Members()[0] // want "plan snapshot \"snap\" read after swapPlan rebuilt the plan"
 }
 
 // freshReread re-captures after the rebuild; no finding.
-func (m *mgr) freshReread(owners []string) string {
+func (m *mgr) freshReread() string {
 	snap := m.plan
-	m.swapPlan(build(snap.Version+1, owners))
+	m.swapPlan(next(snap))
 	snap = m.plan
-	return snap.Owners[0]
+	return snap.Members()[0]
 }
 
 // argsBeforeEffect: the rebuild call's own arguments are read before
 // the swap happens — evaluation order says they are not stale reads.
-func (m *mgr) argsBeforeEffect(owners []string) {
+func (m *mgr) argsBeforeEffect() {
 	snap := m.plan
-	m.swapPlan(build(snap.Version+1, owners))
+	m.swapPlan(next(snap))
 }

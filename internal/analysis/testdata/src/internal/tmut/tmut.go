@@ -23,6 +23,12 @@ func overwrite(t *tensor.Tensor, src []byte) {
 	copy(t.Bytes(), src) // want "copy into a tensor's backing store"
 }
 
+// overwriteRows copies into a window of the store: a slice of a view
+// is still the view.
+func overwriteRows(t *tensor.Tensor, src []float32, at int) {
+	copy(t.F32()[at:], src) // want "copy into a tensor's backing store"
+}
+
 // overwriteViaLocal is the local-bound form of the same.
 func overwriteViaLocal(t *tensor.Tensor, src []byte) {
 	b := t.Bytes()
@@ -38,6 +44,7 @@ func mutateAPI(t *tensor.Tensor) {
 // reads are always fine.
 func reads(t *tensor.Tensor, dst []float32) float32 {
 	copy(dst, t.F32())
+	copy(dst[1:], t.F32()[1:])
 	v := t.F32()[0]
 	return v + t.At(1)
 }

@@ -119,12 +119,10 @@ func checkLoopTimers(pass *Pass, body *ast.BlockStmt) {
 						}
 					}
 				}
-				if pass.Prog != nil {
-					if callee := calleeFunc(pass.Info, n); callee != nil {
-						if sum, ok := pass.Prog.Summary(callee); ok && sum.TimerLeak {
-							pass.Reportf(n.Pos(),
-								"each loop iteration calls %s, which leaks a timer (%s); hoist the timer out of the loop or make the callee stop it", callee.Name(), sum.TimerReason)
-						}
+				if callee := calleeFunc(pass.Info, n); callee != nil {
+					if sum, ok := pass.Prog.Summary(callee); ok && sum.TimerLeak {
+						pass.Reportf(n.Pos(),
+							"each loop iteration calls %s, which leaks a timer (%s); hoist the timer out of the loop or make the callee stop it", callee.Name(), sum.TimerReason)
 					}
 				}
 			}

@@ -61,6 +61,14 @@ func recvTypeString(fn *types.Func) string {
 	return sig.Recv().Type().String()
 }
 
+// isEndpointMethod reports whether fn is a method of runtime.Endpoint or
+// runtime.Executor: every hop reaches its backend through one of them,
+// so a call through either crosses the wire.
+func isEndpointMethod(fn *types.Func) bool {
+	recv := recvTypeString(fn)
+	return strings.HasSuffix(recv, "runtime.Endpoint") || strings.HasSuffix(recv, "runtime.Executor")
+}
+
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)

@@ -46,10 +46,10 @@ func (p placement) Route(_ bool, lo int) (runtime.Route, error) {
 		return runtime.Route{}, err
 	}
 	seg := plan.shardFrom(lo)
-	name, seen := seg.Member, plan.Version
+	name, seen := seg.Member, plan.version
 	return runtime.Route{
 		Hi: seg.Hi,
-		EP: &segmentExec{m: p.m, seg: seg, last: seg.Hi == len(plan.Owners)},
+		EP: &segmentExec{m: p.m, seg: seg, last: seg.Hi == len(plan.owners)},
 		Repair: func(err error) error {
 			if errors.Is(err, errNotResident) {
 				return nil

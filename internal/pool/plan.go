@@ -135,32 +135,36 @@ type Shard struct {
 	WeightBytes int64
 }
 
-// ShardPlan is a placement of the model across the pool.
+// ShardPlan is a placement of the model across the pool. A plan is an
+// immutable versioned snapshot: its fields are unexported, so only this
+// package builds one, and a membership change builds a new plan at a
+// new version rather than editing the old one. Callers elsewhere read
+// it through Members, Shards and Manager.Status.
 type ShardPlan struct {
-	Strategy Strategy
-	// Version is the membership epoch the plan was built at; sessions
+	strategy Strategy
+	// version is the membership epoch the plan was built at; sessions
 	// carry it so concurrent repairs are detected.
-	Version int64
-	// Owners maps each layer to its member. Embeddings ride with
-	// Owners[0], the head with Owners[len-1].
-	Owners []string
-	// Weights is the per-member weight footprint (embed/head included).
-	Weights map[string]int64
-	// CutEdges counts shard boundaries; CutBytes is the activation
+	version int64
+	// owners maps each layer to its member. Embeddings ride with
+	// owners[0], the head with owners[len-1].
+	owners []string
+	// weights is the per-member weight footprint (embed/head included).
+	weights map[string]int64
+	// cutEdges counts shard boundaries; cutBytes is the activation
 	// bytes crossing them per decode step.
-	CutEdges int
-	CutBytes int64
-	// Estimate is the modeled per-decode-step latency: per-member
+	cutEdges int
+	cutBytes int64
+	// estimate is the modeled per-decode-step latency: per-member
 	// roofline kernel time + per-segment RPC overhead + boundary
 	// transfers in both directions.
-	Estimate time.Duration
+	estimate time.Duration
 }
 
 // Members lists the distinct owners in pipeline order.
 func (p *ShardPlan) Members() []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, o := range p.Owners {
+	for _, o := range p.owners {
 		if !seen[o] {
 			seen[o] = true
 			out = append(out, o)
@@ -172,12 +176,12 @@ func (p *ShardPlan) Members() []string {
 // Shards lists the contiguous same-owner layer runs in pipeline order.
 func (p *ShardPlan) Shards() []Shard {
 	var out []Shard
-	for i := 0; i < len(p.Owners); {
+	for i := 0; i < len(p.owners); {
 		j := i
-		for j < len(p.Owners) && p.Owners[j] == p.Owners[i] {
+		for j < len(p.owners) && p.owners[j] == p.owners[i] {
 			j++
 		}
-		out = append(out, Shard{Member: p.Owners[i], Lo: i, Hi: j})
+		out = append(out, Shard{Member: p.owners[i], Lo: i, Hi: j})
 		i = j
 	}
 	return out
@@ -186,10 +190,10 @@ func (p *ShardPlan) Shards() []Shard {
 // shardFrom returns the contiguous run starting at layer.
 func (p *ShardPlan) shardFrom(layer int) Shard {
 	hi := layer
-	for hi < len(p.Owners) && p.Owners[hi] == p.Owners[layer] {
+	for hi < len(p.owners) && p.owners[hi] == p.owners[layer] {
 		hi++
 	}
-	return Shard{Member: p.Owners[layer], Lo: layer, Hi: hi}
+	return Shard{Member: p.owners[layer], Lo: layer, Hi: hi}
 }
 
 // unitAcct aggregates one placement unit's cost-model inputs.
@@ -283,7 +287,7 @@ func BuildPlan(m *models.GPT, members []Candidate, strat Strategy, version int64
 				continue
 			}
 			p := pl.finish(s, owners, version)
-			if best == nil || p.Estimate < best.Estimate {
+			if best == nil || p.estimate < best.estimate {
 				best = p
 			}
 		}
@@ -291,7 +295,7 @@ func BuildPlan(m *models.GPT, members []Candidate, strat Strategy, version int64
 			return nil, fmt.Errorf("pool: model does not fit across %d member(s) under any strategy (weights %d B)",
 				len(members), m.Cfg.WeightBytes())
 		}
-		best.Strategy = StrategyAuto
+		best.strategy = StrategyAuto
 		return best, nil
 	}
 	return nil, fmt.Errorf("pool: unknown strategy %v", strat)
@@ -390,10 +394,10 @@ func (pl *planner) validate(owners []string) error {
 // finish computes the placement's cut and cost summary.
 func (pl *planner) finish(strat Strategy, owners []string, version int64) *ShardPlan {
 	p := &ShardPlan{
-		Strategy: strat,
-		Version:  version,
-		Owners:   owners,
-		Weights:  pl.weightOf(owners),
+		strategy: strat,
+		version:  version,
+		owners:   owners,
+		weights:  pl.weightOf(owners),
 	}
 	// Decode-step activation crossing a boundary: one [1, dim] f32 row.
 	actBytes := int64(pl.model.Cfg.Dim) * 4
@@ -423,12 +427,12 @@ func (pl *planner) finish(strat Strategy, owners []string, version int64) *Shard
 		c := pl.byName(o)
 		est += c.Link.RPCOverhead
 		if prev != "" {
-			p.CutEdges++
-			p.CutBytes += actBytes
+			p.cutEdges++
+			p.cutBytes += actBytes
 			est += pl.byName(prev).Link.TransferTime(actBytes) + c.Link.TransferTime(actBytes)
 		}
 		prev = o
 	}
-	p.Estimate = est
+	p.estimate = est
 	return p
 }

@@ -45,7 +45,7 @@ func TestPlanEstimateFoldsHealth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Estimate
+		return p.estimate
 	}
 	healthy := one(0, false)
 	halved := one(0.5, false)

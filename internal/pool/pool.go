@@ -316,7 +316,7 @@ func (m *Manager) swapPlan(p *ShardPlan, err error, ver int64) {
 // layer is dropped: its session rebuilds it on the next pass.
 func (m *Manager) reconcile(plan *ShardPlan) error {
 	for _, pe := range m.weights {
-		owner := plan.Owners[pe.unit]
+		owner := plan.owners[pe.unit]
 		m.mu.Lock()
 		prev, placed := m.resident[pe.ref]
 		m.mu.Unlock()
@@ -334,7 +334,7 @@ func (m *Manager) reconcile(plan *ShardPlan) error {
 	m.mu.Lock()
 	stale := map[string]string{}
 	for key, r := range m.resident {
-		if l := layerOfKey(key); l >= 0 && plan.Owners[l] != r.member {
+		if l := layerOfKey(key); l >= 0 && plan.owners[l] != r.member {
 			stale[key] = r.member
 			delete(m.resident, key)
 		}
@@ -416,7 +416,7 @@ func (m *Manager) evict(name string) error {
 	}
 	defer drop()
 
-	if old == nil || !ownerIn(old.Owners, name) {
+	if old == nil || !ownerIn(old.owners, name) {
 		// The departed member held no shard (spare); the plan stands.
 		if old == nil {
 			drop() // before rebuild, so it is not offered as a candidate
@@ -434,14 +434,14 @@ func (m *Manager) evict(name string) error {
 
 	// Re-place the departed member's contiguous runs; survivors keep
 	// their shards untouched.
-	owners := append([]string(nil), old.Owners...)
+	owners := append([]string(nil), old.owners...)
 	free := map[string]int64{}
 	for _, c := range survivors {
-		free[c.Name] = c.Spec.MemBytes - old.Weights[c.Name]
+		free[c.Name] = c.Spec.MemBytes - old.weights[c.Name]
 	}
 	// Wholesale first: one successor with room for everything takes
 	// every run.
-	whole := pickFit(survivors, free, old.Weights[name])
+	whole := pickFit(survivors, free, old.weights[name])
 	for _, r := range old.Shards() {
 		if r.Member != name {
 			continue
@@ -478,7 +478,7 @@ func (m *Manager) evict(name string) error {
 
 	pl := &planner{model: m.cfg.Model, members: survivors}
 	pl.embed, pl.head, pl.layers = modelUnits(m.cfg.Model)
-	m.swapPlan(pl.finish(old.Strategy, owners, ver), nil, ver)
+	m.swapPlan(pl.finish(old.strategy, owners, ver), nil, ver)
 	m.rebuilds.Inc()
 	return nil
 }

@@ -89,13 +89,13 @@ func TestBuildPlanStrategies(t *testing.T) {
 		if got := len(p.Members()); got != 2 {
 			t.Fatalf("memory plan uses %d members, want 2", got)
 		}
-		for name, w := range p.Weights {
+		for name, w := range p.weights {
 			if lim := smallSpec(m, 2, 3).MemBytes; w > lim {
 				t.Errorf("member %s over budget: %d > %d", name, w, lim)
 			}
 		}
-		if p.CutEdges == 0 || p.CutBytes == 0 {
-			t.Errorf("2-way plan has no cut: edges=%d bytes=%d", p.CutEdges, p.CutBytes)
+		if p.cutEdges == 0 || p.cutBytes == 0 {
+			t.Errorf("2-way plan has no cut: edges=%d bytes=%d", p.cutEdges, p.cutBytes)
 		}
 	})
 
@@ -111,8 +111,8 @@ func TestBuildPlanStrategies(t *testing.T) {
 		if got := len(p.Members()); got != 1 {
 			t.Fatalf("memory plan uses %d members, want 1 (model fits)", got)
 		}
-		if p.CutEdges != 0 {
-			t.Errorf("single-member plan has %d cut edges", p.CutEdges)
+		if p.cutEdges != 0 {
+			t.Errorf("single-member plan has %d cut edges", p.cutEdges)
 		}
 	})
 
@@ -135,8 +135,8 @@ func TestBuildPlanStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Owners[0] == p.Owners[1] {
-			t.Errorf("tensor owners = %v, want alternating", p.Owners)
+		if p.owners[0] == p.owners[1] {
+			t.Errorf("tensor owners = %v, want alternating", p.owners)
 		}
 	})
 
@@ -145,10 +145,10 @@ func TestBuildPlanStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Strategy != StrategyAuto {
-			t.Errorf("auto plan stamped %v", p.Strategy)
+		if p.strategy != StrategyAuto {
+			t.Errorf("auto plan stamped %v", p.strategy)
 		}
-		if p.Estimate <= 0 {
+		if p.estimate <= 0 {
 			t.Error("auto plan has no cost estimate")
 		}
 	})
@@ -271,8 +271,8 @@ func TestLeaveMidDecodeParity(t *testing.T) {
 	}
 
 	// A shard owner departs mid-decode.
-	victim := mgr.Plan().Owners[0]
-	verBefore := mgr.Plan().Version
+	victim := mgr.Plan().owners[0]
+	verBefore := mgr.Plan().version
 	if err := mgr.Leave(victim); err != nil {
 		t.Fatalf("leave %s: %v", victim, err)
 	}
@@ -280,11 +280,11 @@ func TestLeaveMidDecodeParity(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan after leave")
 	}
-	if plan.Version <= verBefore {
-		t.Errorf("plan version %d not bumped past %d", plan.Version, verBefore)
+	if plan.version <= verBefore {
+		t.Errorf("plan version %d not bumped past %d", plan.version, verBefore)
 	}
-	if ownerIn(plan.Owners, victim) {
-		t.Fatalf("departed %s still owns layers: %v", victim, plan.Owners)
+	if ownerIn(plan.owners, victim) {
+		t.Fatalf("departed %s still owns layers: %v", victim, plan.owners)
 	}
 
 	for len(got) < 6 {
@@ -414,7 +414,7 @@ func TestLeaveUnderConcurrentSessions(t *testing.T) {
 	}
 	<-started
 	<-started
-	if err := mgr.Leave(mgr.Plan().Owners[0]); err != nil {
+	if err := mgr.Leave(mgr.Plan().owners[0]); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
 	wg.Wait()

@@ -65,10 +65,10 @@ func (m *Manager) Status() Status {
 	}
 	layersOf := map[string]int{}
 	if plan != nil {
-		st.Strategy = plan.Strategy.String()
-		st.CutEdges = plan.CutEdges
-		st.CutBytes = plan.CutBytes
-		st.EstimateUs = int64(plan.Estimate / time.Microsecond)
+		st.Strategy = plan.strategy.String()
+		st.CutEdges = plan.cutEdges
+		st.CutBytes = plan.cutBytes
+		st.EstimateUs = int64(plan.estimate / time.Microsecond)
 		for _, sh := range plan.Shards() {
 			st.Shards = append(st.Shards, ShardStatus{Member: sh.Member, Lo: sh.Lo, Hi: sh.Hi})
 			layersOf[sh.Member] += sh.Hi - sh.Lo
@@ -77,7 +77,7 @@ func (m *Manager) Status() Status {
 	for _, name := range names {
 		ms := MemberStatus{Name: name, Layers: layersOf[name], Spare: layersOf[name] == 0}
 		if plan != nil {
-			ms.WeightBytes = plan.Weights[name]
+			ms.WeightBytes = plan.weights[name]
 		}
 		m.mu.Lock()
 		if mem := m.members[name]; mem != nil {

@@ -23,8 +23,6 @@ import (
 // This is the multi-accelerator generalization of the single-endpoint
 // LLM modes: the same machinery drives pipelined CNN plans and
 // heterogeneous multi-tenant placements.
-//
-//lint:ignore deadexport facade only: ROADMAP item 3 makes it the one plan executor
 type PlanExecutor struct {
 	// EPs maps plan device IDs to live endpoints.
 	EPs map[cluster.AcceleratorID]Endpoint
