@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Loader type-checks module packages from source. Module-internal import
@@ -23,7 +24,6 @@ type Loader struct {
 	ModRoot string
 	ModPath string
 
-	std     types.Importer
 	pkgs    map[string]*Package // import path -> loaded package
 	loading map[string]bool     // import-cycle guard
 	// overlay replaces the contents of the named files (absolute paths)
@@ -69,15 +69,34 @@ func NewLoader(modRoot string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
-		Fset:    fset,
+		Fset:    stdFileSet(),
 		ModRoot: modRoot,
 		ModPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 	}, nil
+}
+
+// std is the process's one stdlib source importer and the file set it
+// records positions in. The importer type-checks the standard library
+// from source, which costs seconds; every Loader in a process (the
+// driver's, each test's) shares what it has already checked instead of
+// checking it again. The source importer is not safe for concurrent
+// use, hence mu.
+var std struct {
+	once sync.Once
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.Importer
+}
+
+func stdFileSet() *token.FileSet {
+	std.once.Do(func() {
+		std.fset = token.NewFileSet()
+		std.imp = importer.ForCompiler(std.fset, "source", nil)
+	})
+	return std.fset
 }
 
 // Packages returns every package the loader has type-checked so far —
@@ -123,7 +142,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return l.std.Import(path)
+	std.mu.Lock()
+	defer std.mu.Unlock()
+	return std.imp.Import(path)
 }
 
 // Load parses and type-checks the package in dir (non-test files only),

@@ -171,8 +171,7 @@ func (t *Tracker) Dwelling() bool { return t.RetryAfter() > 0 }`,
 }
 
 // moduleLoader type-checks the whole module once for the mutation
-// rows, reusing the fixture loader's stdlib and the module packages it
-// already checked.
+// rows, reusing the module packages the fixture loader already checked.
 func moduleLoader(t *testing.T) *Loader {
 	t.Helper()
 	_, fx := loadFixture(t, fixtureDir("internal", "clean"))
@@ -193,11 +192,11 @@ func moduleLoader(t *testing.T) *Loader {
 	return base
 }
 
-// childLoader returns a loader sharing l's file set, its stdlib
-// importer and every package of l for which drop is false.
+// childLoader returns a loader sharing every package of l for which
+// drop is false.
 func childLoader(l *Loader, drop func(path string) bool) *Loader {
 	c := &Loader{
-		Fset: l.Fset, ModRoot: l.ModRoot, ModPath: l.ModPath, std: l.std,
+		Fset: l.Fset, ModRoot: l.ModRoot, ModPath: l.ModPath,
 		pkgs: make(map[string]*Package), loading: make(map[string]bool),
 	}
 	for path, p := range l.pkgs {

@@ -95,3 +95,35 @@ func politeLoop(work chan int, n int) {
 		boundedDelay(work)
 	}
 }
+
+// leakyWorker leaks a timer per iteration of its own loop: reported
+// once, here.
+func leakyWorker(work chan int) {
+	for {
+		t := time.NewTimer(time.Second) // want "allocated in a loop without a Stop"
+		select {
+		case <-work:
+		case <-t.C:
+		}
+	}
+}
+
+// startWorkers spawns one worker per lane. The spawned worker is its
+// own root, so its leak is not reported a second time at the go
+// statement; an argument evaluated in the loop still is.
+func startWorkers(work chan int, n int) {
+	for i := 0; i < n; i++ {
+		go leakyWorker(work)
+	}
+	for i := 0; i < n; i++ {
+		go startOne(leakyChan(work)) // want "each loop iteration calls leakyChan, which leaks a timer"
+	}
+}
+
+func startOne(work chan int) {}
+
+// leakyChan runs in the caller's goroutine even under go.
+func leakyChan(work chan int) chan int {
+	leakyDelay(work)
+	return work
+}

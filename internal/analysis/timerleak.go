@@ -75,6 +75,14 @@ func checkLoopTimers(pass *Pass, body *ast.BlockStmt) {
 			case *ast.DeferStmt:
 				walk(n.Call, true)
 				return false
+			case *ast.GoStmt:
+				// The spawned function runs as its own root: a leak in its
+				// body is reported there, not again per iteration here.
+				// Its arguments are still evaluated in this loop.
+				for _, arg := range n.Call.Args {
+					walk(arg, inDefer)
+				}
+				return false
 			case *ast.SelectStmt:
 				if len(n.Body.List) >= 2 {
 					if after := selectAfterCall(pass.Info, n); after != nil {

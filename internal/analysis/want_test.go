@@ -26,11 +26,12 @@ type wantExpectation struct {
 	matched bool
 }
 
-// fixtureLoader is shared by every fixture test: the source importer
-// type-checks the stdlib once (about 1.6 s) instead of once per fixture.
-// Fixture tests run sequentially, and the driver likewise builds its
-// Program over one load of the whole module, so a Program spanning
-// earlier fixtures' packages is the production shape, not a shortcut.
+// fixtureLoader is shared by every fixture test, so the stand-in
+// dependency packages fixtures import are type-checked once (every
+// Loader shares the stdlib anyway). Fixture tests run sequentially, and
+// the driver likewise builds its Program over one load of the whole
+// module, so a Program spanning earlier fixtures' packages is the
+// production shape, not a shortcut.
 var fixtureLoader struct {
 	once   sync.Once
 	loader *Loader

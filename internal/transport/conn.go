@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -102,6 +103,12 @@ type Conn struct {
 	feat atomic.Uint32
 }
 
+// connBufSize sizes each conn's read and write buffer. Headers and
+// small frames batch through it; a payload larger than the buffer
+// bypasses it (bufio reads and writes those directly), so sizing it to
+// the largest frame only costs memory per conn.
+const connBufSize = 64 << 10
+
 // NewConn wraps a net.Conn. counters may be shared across conns; shaper
 // may be nil.
 func NewConn(raw net.Conn, counters *Counters, shaper *Shaper) *Conn {
@@ -110,8 +117,8 @@ func NewConn(raw net.Conn, counters *Counters, shaper *Shaper) *Conn {
 	}
 	return &Conn{
 		raw: raw,
-		br:  bufio.NewReaderSize(raw, 1<<20),
-		bw:  bufio.NewWriterSize(raw, 1<<20),
+		br:  bufio.NewReaderSize(raw, connBufSize),
+		bw:  bufio.NewWriterSize(raw, connBufSize),
 		ctr: counters,
 		shp: shaper,
 	}
@@ -156,20 +163,23 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 // smaller travel compressed; counters, telemetry, and the link shaper
 // all see the bytes that actually crossed the wire.
 func (c *Conn) SendEnv(t MsgType, env Envelope, payload []byte) error {
-	var cp []byte
+	var cb *bytes.Buffer
 	if c.feat.Load()&FeatCompress != 0 {
-		cp = compressPayload(payload)
+		cb = compressPayload(payload)
 	}
+	// The compressed bytes are dead once flushed (or once the write
+	// failed): bufio copies or writes through, never retains.
+	defer releaseCompressed(cb)
 	wireLen := len(payload)
-	if cp != nil {
-		wireLen = len(cp)
+	if cb != nil {
+		wireLen = cb.Len()
 	}
 	c.shp.delaySend(wireLen)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error
-	if cp != nil {
-		err = writeFrameCompressed(c.bw, t, env, cp)
+	if cb != nil {
+		err = writeFrameCompressed(c.bw, t, env, cb.Bytes())
 	} else {
 		err = WriteFrameEnv(c.bw, t, env, payload)
 	}

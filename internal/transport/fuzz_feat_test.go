@@ -29,18 +29,41 @@ func FuzzDecodeUploadRef(f *testing.F) {
 	})
 }
 
+// compressedCopy deflates raw and returns a copy of the compressed
+// bytes: seeds and expectations must outlive the pooled buffer they
+// were built in.
+func compressedCopy(raw []byte) []byte {
+	cb := compressPayload(raw)
+	if cb == nil {
+		return nil
+	}
+	defer releaseCompressed(cb)
+	return bytes.Clone(cb.Bytes())
+}
+
 // FuzzDecompressPayload hits the inflate path directly: arbitrary bytes
 // must yield a FrameError, and a valid compressed payload must round
-// trip.
+// trip. Inflaters are pooled, so after every input a known-valid seed
+// must still inflate to its original bytes: no state a malformed
+// stream leaves in a reader may reach the next frame.
 func FuzzDecompressPayload(f *testing.F) {
 	raw := bytes.Repeat([]byte("genie wire compression seed "), 64)
-	if cp := compressPayload(raw); cp != nil {
-		f.Add(cp)
+	known := compressedCopy(raw)
+	if known == nil {
+		f.Fatal("seed payload does not compress")
 	}
+	f.Add(known)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x80}) // truncated uvarint
+	f.Add(known[:len(known)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer func() {
+			back, err := decompressPayload(known)
+			if err != nil || !bytes.Equal(back, raw) {
+				t.Fatalf("known-valid seed no longer inflates after this input: %v", err)
+			}
+		}()
 		out, err := decompressPayload(data)
 		if err != nil {
 			if !IsFrameError(err) {
@@ -48,7 +71,7 @@ func FuzzDecompressPayload(f *testing.F) {
 			}
 			return
 		}
-		if cp := compressPayload(out); cp != nil {
+		if cp := compressedCopy(out); cp != nil {
 			back, err := decompressPayload(cp)
 			if err != nil || !bytes.Equal(back, out) {
 				t.Fatal("compress round trip unstable")
@@ -62,7 +85,7 @@ func FuzzDecompressPayload(f *testing.F) {
 // FrameErrors that never panic the reader.
 func FuzzReadFrameCompressed(f *testing.F) {
 	raw := bytes.Repeat([]byte("decode step payload "), 64)
-	if cp := compressPayload(raw); cp != nil {
+	if cp := compressedCopy(raw); cp != nil {
 		var buf bytes.Buffer
 		_ = writeFrameCompressed(&buf, MsgExec, Envelope{}, cp)
 		f.Add(buf.Bytes())

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 
 	"genie/internal/tensor"
 )
@@ -129,41 +131,134 @@ func DecodeUploadRef(b []byte) (*UploadRef, error) {
 
 // --- frame payload compression ---
 
-// compressPayload deflates raw into uvarint(len(raw)) + flate bytes.
-// It returns nil when compression does not pay (too small, or the
-// deflated form is not smaller) — the caller then sends raw without
-// compFlag, so incompressible payloads cost zero extra bytes.
-func compressPayload(raw []byte) []byte {
+// Compression state is reused across frames (DESIGN.md §11.3): a
+// BestSpeed flate.Writer is about 1.2 MB and an inflater about 40 KB,
+// too much to allocate per frame. Reset returns either to its initial
+// state, so reuse changes no byte on the wire.
+
+// wireBufCap bounds the scratch buffers kept for reuse: a buffer that
+// grew past it to carry an unusually large frame (a weight upload) is
+// left to the GC instead of pinning that much memory in the pool.
+// Steady-state frames are at most about 400 KB (a full prefill's
+// delta-KV reply).
+const wireBufCap = 512 << 10
+
+// deflaters is a free list of BestSpeed writers, bounded by
+// GOMAXPROCS: no more writers can be compressing at once, and each
+// retained one costs 1.2 MB, so an unbounded sync.Pool would hold (and
+// the GC roughly double at peak) far more than the path needs.
+var deflaters struct {
+	mu   sync.Mutex
+	free []*flate.Writer
+}
+
+// getDeflater returns a BestSpeed writer reset to write into w.
+func getDeflater(w io.Writer) *flate.Writer {
+	deflaters.mu.Lock()
+	if n := len(deflaters.free); n > 0 {
+		fw := deflaters.free[n-1]
+		deflaters.free = deflaters.free[:n-1]
+		deflaters.mu.Unlock()
+		fw.Reset(w)
+		return fw
+	}
+	deflaters.mu.Unlock()
+	// BestSpeed: the wire wins come from tensor-byte redundancy, and
+	// level 1 captures most of it at a fraction of the CPU of higher
+	// levels — this sits on the decode critical path. NewWriter only
+	// fails on an invalid level.
+	fw, _ := flate.NewWriter(w, flate.BestSpeed)
+	return fw
+}
+
+// putDeflater returns fw to the free list, or drops it when the list
+// already holds one writer per P. The writer is detached from its
+// output first so a pooled writer never pins a frame buffer.
+func putDeflater(fw *flate.Writer) {
+	fw.Reset(io.Discard)
+	deflaters.mu.Lock()
+	if len(deflaters.free) < runtime.GOMAXPROCS(0) {
+		deflaters.free = append(deflaters.free, fw)
+	}
+	deflaters.mu.Unlock()
+}
+
+// inflater is a reusable flate reader together with the byte reader it
+// inflates from, so a pooled decode allocates neither.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+// sendBufs and recvBufs recycle the scratch buffers of compressed
+// frames: the deflate output on send and the compressed body on
+// receive, both garbage once the frame is written or inflated. Two
+// pools, because the two roles settle at different sizes (the send
+// side reserves the whole raw length up front): a buffer sized by one
+// role would be regrown by the other.
+var sendBufs, recvBufs = bufPool(), bufPool()
+
+func bufPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(bytes.Buffer) }}
+}
+
+func getBuf(p *sync.Pool) *bytes.Buffer {
+	b := p.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBuf(p *sync.Pool, b *bytes.Buffer) {
+	if b != nil && b.Cap() <= wireBufCap {
+		p.Put(b)
+	}
+}
+
+// compressPayload deflates raw into uvarint(len(raw)) + flate bytes,
+// held in a pooled buffer the caller hands back with releaseCompressed
+// once the frame is written. It returns nil when compression does not
+// pay (too small, or the deflated form is not smaller) — the caller
+// then sends raw without compFlag, so incompressible payloads cost
+// zero extra bytes.
+func compressPayload(raw []byte) *bytes.Buffer {
 	if len(raw) < compressMin {
 		return nil
 	}
-	var b bytes.Buffer
-	b.Grow(len(raw) / 2)
+	b := getBuf(sendBufs)
+	// Reserve the raw length: tensor bytes deflate by about a tenth, so
+	// the output fits and a buffer is never regrown mid-frame. Only an
+	// incompressible payload outgrows it, and that one is sent raw.
+	b.Grow(len(raw))
 	var tmp [binary.MaxVarintLen64]byte
 	b.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(raw)))])
-	// BestSpeed: the wire wins come from tensor-byte redundancy, and
-	// level 1 captures most of it at a fraction of the CPU of higher
-	// levels — this sits on the decode critical path.
-	fw, err := flate.NewWriter(&b, flate.BestSpeed)
-	if err != nil {
+	fw := getDeflater(b)
+	_, err := fw.Write(raw)
+	if err == nil {
+		err = fw.Close()
+	}
+	putDeflater(fw)
+	if err != nil || b.Len() >= len(raw) {
+		putBuf(sendBufs, b)
 		return nil
 	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil
-	}
-	if err := fw.Close(); err != nil {
-		return nil
-	}
-	if b.Len() >= len(raw) {
-		return nil
-	}
-	return b.Bytes()
+	return b
 }
+
+// releaseCompressed returns a compressPayload result (nil is a no-op).
+// Its bytes must not be used afterwards.
+func releaseCompressed(b *bytes.Buffer) { putBuf(sendBufs, b) }
 
 // decompressPayload reverses compressPayload. Every malformed input —
 // bad varint, oversized claim, corrupt deflate stream, length
 // mismatch — is a FrameError, never a panic: this is attacker-facing
-// surface (see fuzz_test.go).
+// surface (see fuzz_test.go). The inflated payload is a fresh slice the
+// caller owns; p is not retained.
 func decompressPayload(p []byte) ([]byte, error) {
 	rawLen, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -172,15 +267,23 @@ func decompressPayload(p []byte) ([]byte, error) {
 	if rawLen > maxFrame {
 		return nil, frameErrorf("transport: compressed frame claims %d bytes", rawLen)
 	}
-	fr := flate.NewReader(bytes.NewReader(p[n:]))
+	z := inflaters.Get().(*inflater)
+	defer func() {
+		z.src.Reset(nil) // a pooled inflater must not pin p
+		inflaters.Put(z)
+	}()
+	z.src.Reset(p[n:])
+	// Reset discards whatever state the previous frame — valid or
+	// corrupt — left behind; it cannot fail without a preset dictionary.
+	_ = z.fr.(flate.Resetter).Reset(&z.src, nil)
 	raw := make([]byte, int(rawLen))
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	if _, err := io.ReadFull(z.fr, raw); err != nil {
 		return nil, frameErrorf("transport: corrupt compressed frame: %v", err)
 	}
 	// One extra read distinguishes "exactly rawLen bytes" from a stream
 	// that kept going — a length lie either way.
 	var scratch [1]byte
-	if m, _ := fr.Read(scratch[:]); m != 0 {
+	if m, _ := z.fr.Read(scratch[:]); m != 0 {
 		return nil, frameErrorf("transport: compressed frame longer than declared")
 	}
 	return raw, nil
@@ -252,17 +355,26 @@ func ReadFrameEnv(r io.Reader) (_ MsgType, _ Envelope, _ []byte, wireLen int, _ 
 		compressed = t&compFlag != 0
 		t &^= envFlag | compFlag
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, Envelope{}, nil, 0, err
-	}
 	wireLen = int(n)
 	if compressed {
-		raw, err := decompressPayload(payload)
+		// The compressed body is garbage once inflated: read it into
+		// pooled scratch. The inflated payload is the caller's own.
+		b := getBuf(recvBufs)
+		defer putBuf(recvBufs, b)
+		b.Grow(int(n))
+		body := b.AvailableBuffer()[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return 0, Envelope{}, nil, 0, err
+		}
+		raw, err := decompressPayload(body)
 		if err != nil {
 			return 0, Envelope{}, nil, 0, err
 		}
-		payload = raw
+		return MsgType(t), env, raw, wireLen, nil
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, Envelope{}, nil, 0, err
 	}
 	return MsgType(t), env, payload, wireLen, nil
 }
