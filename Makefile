@@ -62,20 +62,25 @@ parity:
 pool:
 	$(GO) test -race -count=$(COUNT) ./internal/pool/ -run .
 
-# Negotiated wire tier (DESIGN.md §11) under the race detector: codec
-# round trips for the ref/compressed frames (go test runs each Fuzz*
-# seed corpus as unit cases), pooled-encoder equivalence, the pinned
-# message-type and feature-bit numbers, and the end-to-end contracts —
-# feature negotiation, content-hash dedup, the retired delta number and
-# bit answered as unknown and never granted, legacy byte-identity with
+# Negotiated wire tier (DESIGN.md §11) under the race detector: the one
+# binary codec every wire format is written in (internal/codec) and the
+# SRG encoding on it — decode round trips, the u16 string limit and the
+# decoder fuzz seeds (go test runs each Fuzz* seed corpus as unit
+# cases); codec round trips for the ref/compressed frames, the inflate
+# bound on a compressed frame's length claim, which decode failures are
+# FrameErrors, pooled-encoder equivalence, the pinned message-type and
+# feature-bit numbers, and the end-to-end contracts — feature
+# negotiation, content-hash dedup, the retired delta number and bit
+# answered as unknown and never granted, legacy byte-identity with
 # features off, and the quantize-on-upload policy. Resident step plans:
 # the graph diff/apply pair and the non-mutating fingerprint (srg), the
 # plan frame codec, slot mirror and the round-trip lock it relies on
 # (transport), and slot life cycle over a real Serve loop (backend).
 # Every alternative names at least one test (go test -list).
 wire:
-	$(GO) test -race -count=1 ./internal/srg/ -run 'Diff|Fingerprint'
-	$(GO) test -race -count=1 ./internal/transport/ -run 'Fuzz|Pooled|Ref|Compress|Plan|RoundTrips|Numbers'
+	$(GO) test -race -count=1 ./internal/codec/ -run 'Codec|Str|Reader'
+	$(GO) test -race -count=1 ./internal/srg/ -run 'Diff|Fingerprint|Decode|Fuzz'
+	$(GO) test -race -count=1 ./internal/transport/ -run 'Fuzz|Pooled|Ref|Compress|Decompress|ErrorClasses|Plan|RoundTrips|Numbers'
 	$(GO) test -race -count=1 ./internal/backend/ -run 'Negotiate|Dedup|Compress|Legacy|QuantPolicy|Plan|Retired'
 
 # Prefix KV cache + prefill/decode split under the race detector:

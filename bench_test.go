@@ -340,20 +340,14 @@ func BenchmarkSRGEncode(b *testing.B) {
 	db, _ := m.BuildDecodeStep(1, 8, 8, emptyBenchCaches(m))
 	g := db.Graph()
 	b.ResetTimer()
+	buf := make([]byte, 0, g.BinarySize())
 	for i := 0; i < b.N; i++ {
-		var c countWriter
-		if err := g.Encode(&c); err != nil {
+		enc, err := g.AppendBinary(buf[:0])
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(c.n)
+		b.SetBytes(int64(len(enc)))
 	}
-}
-
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // --- helpers ---

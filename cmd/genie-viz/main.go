@@ -42,12 +42,11 @@ func main() {
 	var g *srg.Graph
 	var err error
 	if *in != "" {
-		f, err2 := os.Open(*in)
+		data, err2 := os.ReadFile(*in)
 		if err2 != nil {
 			log.Fatal(err2)
 		}
-		defer f.Close()
-		g, err = srg.Decode(f)
+		g, err = srg.Decode(data)
 		if err != nil {
 			log.Fatalf("genie-viz: decode %s: %v", *in, err)
 		}
@@ -62,14 +61,11 @@ func main() {
 		frontend.Annotate(g)
 	}
 	if *save != "" {
-		f, err := os.Create(*save)
+		data, err := g.AppendBinary(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := g.Encode(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*save, data, 0o666); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("genie-viz: wrote %s", *save)

@@ -135,27 +135,17 @@ func TestSemAwareKeepsCacheRemote(t *testing.T) {
 		placeholders[i] = &nn.KVCache{}
 	}
 	b, _ := r.Model.BuildDecodeStep(0, len(testPrompt), len(testPrompt), placeholders)
-	var enc countBuf
-	if err := b.Graph().Encode(&enc); err != nil {
-		t.Fatal(err)
-	}
-	if perStep > enc.n+4*logits+4096 {
+	graph := int64(b.Graph().BinarySize())
+	if perStep > graph+4*logits+4096 {
 		t.Errorf("semantics-aware per-step traffic %d too high (graph=%d logits=%d)",
-			perStep, enc.n, logits)
+			perStep, graph, logits)
 	}
 	// And it must stay well below one layer's cache after 12 tokens.
 	cacheBytes := models.TinyGPT.KVBytes(len(testPrompt) + 5)
-	if perStep-enc.n > cacheBytes {
+	if perStep-graph > cacheBytes {
 		t.Errorf("per-step payload %d suggests cache is crossing the wire (cache=%d)",
-			perStep-enc.n, cacheBytes)
+			perStep-graph, cacheBytes)
 	}
-}
-
-type countBuf struct{ n int64 }
-
-func (c *countBuf) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 func countParams(r *LLMRunner) int64 {

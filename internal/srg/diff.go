@@ -1,8 +1,9 @@
 package srg
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"genie/internal/codec"
 )
 
 // Graph diffs are what a resident step plan sends instead of the graph
@@ -85,14 +86,14 @@ func AppendDiff(dst []byte, base, next *Graph) ([]byte, bool) {
 	if base.Name != next.Name || len(base.nodes) != len(next.nodes) || !sameEdges(base, next) {
 		return dst, false
 	}
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	w := codec.Writer{B: dst}
+	w.U32(0)
 	var count uint32
 	var kbuf [8]string
 	for i, n := range next.nodes {
 		o := base.nodes[i]
 		if !sameStructure(o, n) {
-			return dst[:start], false
+			return dst, false
 		}
 		var fields byte
 		for d, v := range n.Output.Shape {
@@ -105,9 +106,6 @@ func AppendDiff(dst []byte, base, next *Graph) ([]byte, bool) {
 			fields |= patchCost
 		}
 		for k, v := range n.Attrs {
-			if len(v) > 0xffff {
-				return dst[:start], false // the full encoding reports it
-			}
 			if o.Attrs[k] != v {
 				fields |= patchAttrs
 			}
@@ -116,29 +114,30 @@ func AppendDiff(dst []byte, base, next *Graph) ([]byte, bool) {
 			continue
 		}
 		count++
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
-		dst = append(dst, fields)
+		w.U32(uint32(i))
+		w.U8(fields)
 		if fields&patchShape != 0 {
-			dst = append(dst, byte(len(n.Output.Shape)))
+			w.U8(byte(len(n.Output.Shape)))
 			for _, v := range n.Output.Shape {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+				w.U32(uint32(v))
 			}
 		}
 		if fields&patchCost != 0 {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(n.Cost.FLOPs)))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(n.Cost.Bytes))
+			w.U64(uint64(int64(n.Cost.FLOPs)))
+			w.U64(uint64(n.Cost.Bytes))
 		}
 		if fields&patchAttrs != 0 {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(n.Attrs)))
+			w.U16(uint16(len(n.Attrs)))
 			for _, k := range attrKeys(n.Attrs, kbuf[:0]) {
-				v := n.Attrs[k]
-				dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v)))
-				dst = append(dst, v...)
+				w.Str(n.Attrs[k])
 			}
 		}
 	}
-	binary.LittleEndian.PutUint32(dst[start:], count)
-	return dst, true
+	if w.Err() != nil {
+		return dst, false // an over-long value: the full encoding reports it
+	}
+	w.SetU32(len(dst), count)
+	return w.B, true
 }
 
 // ApplyDiff patches g in place with a diff AppendDiff produced against a
@@ -147,28 +146,14 @@ func AppendDiff(dst []byte, base, next *Graph) ([]byte, bool) {
 // over-long buffer — is an error, never a panic; after an error g may be
 // half patched and must be discarded.
 func (g *Graph) ApplyDiff(p []byte) error {
-	off := 0
-	take := func(n int) []byte {
-		if n < 0 || len(p)-off < n {
-			return nil
-		}
-		off += n
-		return p[off-n : off]
-	}
-	short := func() error { return fmt.Errorf("srg: diff truncated at offset %d of %d", off, len(p)) }
-	hdr := take(4)
-	if hdr == nil {
-		return short()
-	}
-	count := binary.LittleEndian.Uint32(hdr)
+	r := codec.NewReader(p)
 	prev := -1
 	var kbuf [8]string
-	for ; count > 0; count-- {
-		h := take(5)
-		if h == nil {
-			return short()
+	for count := r.U32(); count > 0 && r.Err() == nil; count-- {
+		id, fields := int(r.U32()), r.U8()
+		if r.Err() != nil {
+			break
 		}
-		id, fields := int(binary.LittleEndian.Uint32(h)), h[4]
 		if id <= prev || id >= len(g.nodes) {
 			return fmt.Errorf("srg: diff patches node %d after %d in a graph of %d", id, prev, len(g.nodes))
 		}
@@ -178,53 +163,31 @@ func (g *Graph) ApplyDiff(p []byte) error {
 		prev = id
 		n := g.nodes[id]
 		if fields&patchShape != 0 {
-			rank := take(1)
-			if rank == nil {
-				return short()
-			}
-			if int(rank[0]) != len(n.Output.Shape) {
-				return fmt.Errorf("srg: diff gives node %d rank %d, it has %d", id, rank[0], len(n.Output.Shape))
-			}
-			dims := take(4 * len(n.Output.Shape))
-			if dims == nil {
-				return short()
+			if rank := r.U8(); int(rank) != len(n.Output.Shape) && r.Err() == nil {
+				return fmt.Errorf("srg: diff gives node %d rank %d, it has %d", id, rank, len(n.Output.Shape))
 			}
 			for d := range n.Output.Shape {
-				n.Output.Shape[d] = int(binary.LittleEndian.Uint32(dims[4*d:]))
+				n.Output.Shape[d] = int(r.U32())
 			}
 		}
 		if fields&patchCost != 0 {
-			c := take(16)
-			if c == nil {
-				return short()
-			}
-			n.Cost.FLOPs = float64(int64(binary.LittleEndian.Uint64(c)))
-			n.Cost.Bytes = int64(binary.LittleEndian.Uint64(c[8:]))
+			n.Cost.FLOPs = float64(int64(r.U64()))
+			n.Cost.Bytes = int64(r.U64())
 		}
 		if fields&patchAttrs != 0 {
-			cnt := take(2)
-			if cnt == nil {
-				return short()
-			}
-			if int(binary.LittleEndian.Uint16(cnt)) != len(n.Attrs) {
-				return fmt.Errorf("srg: diff gives node %d %d attributes, it has %d",
-					id, binary.LittleEndian.Uint16(cnt), len(n.Attrs))
+			if cnt := int(r.U16()); cnt != len(n.Attrs) && r.Err() == nil {
+				return fmt.Errorf("srg: diff gives node %d %d attributes, it has %d", id, cnt, len(n.Attrs))
 			}
 			for _, k := range attrKeys(n.Attrs, kbuf[:0]) {
-				l := take(2)
-				if l == nil {
-					return short()
-				}
-				v := take(int(binary.LittleEndian.Uint16(l)))
-				if v == nil {
-					return short()
-				}
-				n.Attrs[k] = string(v)
+				n.Attrs[k] = r.Str()
 			}
 		}
 	}
-	if off != len(p) {
-		return fmt.Errorf("srg: %d bytes after the diff's last patch", len(p)-off)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("srg: diff: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("srg: %d bytes after the diff's last patch", r.Len())
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package srg
 
 import (
 	"bytes"
-	"io"
 	"strconv"
 	"sync"
 	"testing"
@@ -33,16 +32,16 @@ func stepGraph(hist int) *Graph {
 
 func encoded(t *testing.T, g *Graph) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := g.Encode(&b); err != nil {
+	b, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return b
 }
 
 func decoded(t *testing.T, g *Graph) *Graph {
 	t.Helper()
-	out, err := Decode(bytes.NewReader(encoded(t, g)))
+	out, err := Decode(encoded(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestFingerprintDoesNotWriteTheGraph(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 50; j++ {
-			if err := g.Encode(io.Discard); err != nil {
+			if _, err := g.AppendBinary(nil); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,20 +1,24 @@
 package srg
 
 import (
-	"bufio"
+	"cmp"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
+	"math"
+	"slices"
 	"strings"
+	"sync"
+
+	"genie/internal/codec"
 )
 
 // The binary encoding is the SRG's wire format: it is what a Genie client
 // ships to a global scheduler (§3.6) and to a backend in every
-// execution. Layout (little-endian):
+// execution. It is written in the one binary codec (internal/codec) that
+// the plan diff (diff.go) and every transport message share. Layout
+// (little-endian):
 //
 //	magic "SRG1" | u16 nameLen | name | u32 nodeCount | nodes… |
 //	u32 edgeAnnCount | edge annotations…
@@ -23,371 +27,235 @@ import (
 // u8 residency | str modality | f64 flops | i64 bytes | u8 dtype |
 // u8 rank | rank×u32 dims | u32 nIn | nIn×u32 inputs |
 // u16 nAttrs | nAttrs×(str,str) sorted by key.
+//
+// A str is u16 len | bytes, so a string longer than 65 535 bytes
+// (codec.MaxStr) is an encode error. Each edge annotation: u32 to |
+// u32 arg | u8 flags (1 rate, 2 critical set, 4 critical) | i64 rate
+// in units of 1e-9, sorted by (to, arg).
 
-var magic = [4]byte{'S', 'R', 'G', '1'}
+var magic = []byte("SRG1")
 
 // limits bound decode-side allocations against malformed input.
 const (
 	maxNodes    = 16 << 20
-	maxStrLen   = 1 << 16
 	maxAttrs    = 1 << 12
 	maxNodeRank = 16
+	// minNodeBytes is the smallest encoded node (empty strings, rank 0,
+	// no inputs or attributes): a node count the input cannot hold is
+	// refused before anything is allocated for it.
+	minNodeBytes = 4 + 5*2 + 1 + 16 + 2 + 4 + 2
 )
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+// AppendBinary appends the graph's binary wire format to dst. On error
+// (a string over codec.MaxStr, a rank over 16) the appended bytes are
+// not a valid encoding. The graph is only read, so concurrent encodes
+// and fingerprints of one graph are safe.
+func (g *Graph) AppendBinary(dst []byte) ([]byte, error) { return g.appendBinary(dst, g.Name) }
+
+// BinarySize returns the length of the graph's binary encoding, so a
+// caller can size the buffer AppendBinary fills.
+func (g *Graph) BinarySize() int {
+	str := func(s string) int { return 2 + len(s) }
+	n := len(magic) + str(g.Name) + 4
+	for _, nd := range g.nodes {
+		n += 4 + str(nd.Op) + str(nd.Ref) + str(nd.Module) + str(string(nd.Phase)) + 1 +
+			str(string(nd.Modality)) + 16 + 2 + 4*len(nd.Output.Shape) + 4 + 4*len(nd.Inputs) + 2
+		for k, v := range nd.Attrs {
+			n += str(k) + str(v)
+		}
+	}
+	anns := len(g.edgeRate)
+	for k := range g.edgeCritical {
+		if _, dup := g.edgeRate[k]; !dup {
+			anns++
+		}
+	}
+	return n + 4 + 17*anns
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Encode writes the graph in the binary wire format.
-func (g *Graph) Encode(w io.Writer) error { return g.encode(w, g.Name) }
-
-// encode writes the wire format under the given name; the graph is only
-// read, so concurrent encodes and fingerprints of one graph are safe.
-func (g *Graph) encode(w io.Writer, name string) error {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
+// edgeKeys returns every annotated edge once, in encoding order.
+func (g *Graph) edgeKeys() []edgeKey {
+	keys := make([]edgeKey, 0, len(g.edgeRate)+len(g.edgeCritical))
+	for k := range g.edgeRate {
+		keys = append(keys, k)
 	}
-	writeStr16 := func(s string) error {
-		if len(s) > maxStrLen {
-			return fmt.Errorf("srg: string too long (%d)", len(s))
-		}
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], uint16(len(s)))
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	writeU32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		_, err := bw.Write(b[:])
-		return err
-	}
-	if err := writeStr16(name); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(g.nodes))); err != nil {
-		return err
-	}
-	for _, n := range g.nodes {
-		if err := writeU32(uint32(n.ID)); err != nil {
-			return err
-		}
-		for _, s := range []string{n.Op, n.Ref, n.Module, string(n.Phase)} {
-			if err := writeStr16(s); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte(byte(n.Residency)); err != nil {
-			return err
-		}
-		if err := writeStr16(string(n.Modality)); err != nil {
-			return err
-		}
-		var f [16]byte
-		binary.LittleEndian.PutUint64(f[:8], uint64(int64(n.Cost.FLOPs)))
-		binary.LittleEndian.PutUint64(f[8:], uint64(n.Cost.Bytes))
-		if _, err := bw.Write(f[:]); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(n.Output.DType); err != nil {
-			return err
-		}
-		if len(n.Output.Shape) > maxNodeRank {
-			return fmt.Errorf("srg: node %d rank %d too large", n.ID, len(n.Output.Shape))
-		}
-		if err := bw.WriteByte(byte(len(n.Output.Shape))); err != nil {
-			return err
-		}
-		for _, d := range n.Output.Shape {
-			if err := writeU32(uint32(d)); err != nil {
-				return err
-			}
-		}
-		if err := writeU32(uint32(len(n.Inputs))); err != nil {
-			return err
-		}
-		for _, in := range n.Inputs {
-			if err := writeU32(uint32(in)); err != nil {
-				return err
-			}
-		}
-		keys := attrKeys(n.Attrs, nil)
-		var ab [2]byte
-		binary.LittleEndian.PutUint16(ab[:], uint16(len(keys)))
-		if _, err := bw.Write(ab[:]); err != nil {
-			return err
-		}
-		for _, k := range keys {
-			if err := writeStr16(k); err != nil {
-				return err
-			}
-			if err := writeStr16(n.Attrs[k]); err != nil {
-				return err
-			}
+	for k := range g.edgeCritical {
+		if _, dup := g.edgeRate[k]; !dup {
+			keys = append(keys, k)
 		}
 	}
-	// Edge annotations, sorted for determinism.
-	type ann struct {
-		k        edgeKey
-		rate     float64
-		hasRate  bool
-		critical bool
-		hasCrit  bool
-	}
-	merged := make(map[edgeKey]*ann)
-	get := func(k edgeKey) *ann {
-		a, ok := merged[k]
-		if !ok {
-			a = &ann{k: k}
-			merged[k] = a
+	slices.SortFunc(keys, func(a, b edgeKey) int {
+		if a.to != b.to {
+			return cmp.Compare(a.to, b.to)
 		}
-		return a
-	}
-	for k, r := range g.edgeRate {
-		a := get(k)
-		a.rate, a.hasRate = r, true
-	}
-	for k, c := range g.edgeCritical {
-		a := get(k)
-		a.critical, a.hasCrit = c, true
-	}
-	anns := make([]*ann, 0, len(merged))
-	for _, a := range merged {
-		anns = append(anns, a)
-	}
-	sort.Slice(anns, func(i, j int) bool {
-		if anns[i].k.to != anns[j].k.to {
-			return anns[i].k.to < anns[j].k.to
-		}
-		return anns[i].k.arg < anns[j].k.arg
+		return cmp.Compare(a.arg, b.arg)
 	})
-	if err := writeU32(uint32(len(anns))); err != nil {
-		return err
+	return keys
+}
+
+// appendBinary appends the wire format under the given name.
+func (g *Graph) appendBinary(dst []byte, name string) ([]byte, error) {
+	w := codec.Writer{B: dst}
+	w.Raw(magic)
+	w.Str(name)
+	w.U32(uint32(len(g.nodes)))
+	var kbuf [8]string
+	for _, n := range g.nodes {
+		w.U32(uint32(n.ID))
+		w.Str(n.Op)
+		w.Str(n.Ref)
+		w.Str(n.Module)
+		w.Str(string(n.Phase))
+		w.U8(byte(n.Residency))
+		w.Str(string(n.Modality))
+		w.U64(uint64(int64(n.Cost.FLOPs)))
+		w.U64(uint64(n.Cost.Bytes))
+		w.U8(n.Output.DType)
+		if len(n.Output.Shape) > maxNodeRank {
+			return w.B, fmt.Errorf("srg: node %d rank %d too large", n.ID, len(n.Output.Shape))
+		}
+		w.U8(byte(len(n.Output.Shape)))
+		for _, d := range n.Output.Shape {
+			w.U32(uint32(d))
+		}
+		w.U32(uint32(len(n.Inputs)))
+		for _, in := range n.Inputs {
+			w.U32(uint32(in))
+		}
+		keys := attrKeys(n.Attrs, kbuf[:0])
+		w.U16(uint16(len(keys)))
+		for _, k := range keys {
+			w.Str(k)
+			w.Str(n.Attrs[k])
+		}
 	}
-	for _, a := range anns {
-		if err := writeU32(uint32(a.k.to)); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(a.k.arg)); err != nil {
-			return err
-		}
+	keys := g.edgeKeys()
+	w.U32(uint32(len(keys)))
+	for _, k := range keys {
+		rate, hasRate := g.edgeRate[k]
+		critical, hasCrit := g.edgeCritical[k]
 		var flags byte
-		if a.hasRate {
+		if hasRate {
 			flags |= 1
 		}
-		if a.hasCrit {
+		if hasCrit {
 			flags |= 2
 		}
-		if a.critical {
+		if critical {
 			flags |= 4
 		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		var rb [8]byte
-		binary.LittleEndian.PutUint64(rb[:], uint64(int64(a.rate*1e9)))
-		if _, err := bw.Write(rb[:]); err != nil {
-			return err
-		}
+		w.U32(uint32(k.to))
+		w.U32(uint32(k.arg))
+		w.U8(flags)
+		w.U64(uint64(int64(rate * 1e9)))
 	}
-	return bw.Flush()
+	if err := w.Err(); err != nil {
+		return w.B, fmt.Errorf("srg: %w", err)
+	}
+	return w.B, nil
 }
 
-// Decode reads a graph in the binary wire format.
-func Decode(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
+// Decode reads a graph in the binary wire format. Bytes after the
+// graph's last edge annotation are ignored.
+func Decode(b []byte) (*Graph, error) {
+	r := codec.NewReader(b)
+	if m := r.Take(len(magic)); m != nil && string(m) != string(magic) {
 		return nil, fmt.Errorf("srg: bad magic %q", m)
 	}
-	readStr16 := func() (string, error) {
-		var b [2]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return "", err
-		}
-		n := int(binary.LittleEndian.Uint16(b[:]))
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
+	g := New(r.Str())
+	count := r.U32()
+	if r.Err() == nil && (count > maxNodes || int(count) > r.Len()/minNodeBytes) {
+		return nil, fmt.Errorf("srg: node count %d exceeds the input", count)
 	}
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	name, err := readStr16()
-	if err != nil {
-		return nil, err
-	}
-	g := New(name)
-	count, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxNodes {
-		return nil, fmt.Errorf("srg: node count %d exceeds limit", count)
-	}
-	for i := uint32(0); i < count; i++ {
-		id, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if id != i {
+	g.nodes = make([]*Node, 0, count)
+	slab := make([]Node, count)
+	for i := uint32(0); i < count && r.Err() == nil; i++ {
+		if id := r.U32(); id != i && r.Err() == nil {
 			return nil, fmt.Errorf("srg: non-dense node ID %d at index %d", id, i)
 		}
-		n := &Node{}
-		if n.Op, err = readStr16(); err != nil {
-			return nil, err
-		}
-		if n.Ref, err = readStr16(); err != nil {
-			return nil, err
-		}
-		if n.Module, err = readStr16(); err != nil {
-			return nil, err
-		}
-		var ph string
-		if ph, err = readStr16(); err != nil {
-			return nil, err
-		}
-		n.Phase = Phase(ph)
-		resB, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		n.Residency = Residency(resB)
-		var mod string
-		if mod, err = readStr16(); err != nil {
-			return nil, err
-		}
-		n.Modality = Modality(mod)
-		var f [16]byte
-		if _, err := io.ReadFull(br, f[:]); err != nil {
-			return nil, err
-		}
-		n.Cost.FLOPs = float64(int64(binary.LittleEndian.Uint64(f[:8])))
-		n.Cost.Bytes = int64(binary.LittleEndian.Uint64(f[8:]))
-		if n.Output.DType, err = br.ReadByte(); err != nil {
-			return nil, err
-		}
-		rank, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if int(rank) > maxNodeRank {
+		n := &slab[i]
+		n.Op = r.Str()
+		n.Ref = r.Str()
+		n.Module = r.Str()
+		n.Phase = Phase(r.Str())
+		n.Residency = Residency(r.U8())
+		n.Modality = Modality(r.Str())
+		n.Cost.FLOPs = float64(int64(r.U64()))
+		n.Cost.Bytes = int64(r.U64())
+		n.Output.DType = r.U8()
+		rank := int(r.U8())
+		if rank > maxNodeRank {
 			return nil, fmt.Errorf("srg: rank %d too large", rank)
 		}
 		n.Output.Shape = make([]int, rank)
 		for d := range n.Output.Shape {
-			v, err := readU32()
-			if err != nil {
-				return nil, err
-			}
-			n.Output.Shape[d] = int(v)
+			n.Output.Shape[d] = int(r.U32())
 		}
-		nIn, err := readU32()
-		if err != nil {
-			return nil, err
-		}
+		nIn := r.U32()
 		if nIn > count {
-			return nil, fmt.Errorf("srg: node %d input count %d too large", id, nIn)
+			return nil, fmt.Errorf("srg: node %d input count %d too large", i, nIn)
 		}
 		n.Inputs = make([]NodeID, nIn)
 		for j := range n.Inputs {
-			v, err := readU32()
-			if err != nil {
-				return nil, err
-			}
-			n.Inputs[j] = NodeID(v)
+			n.Inputs[j] = NodeID(r.U32())
 		}
-		var ab [2]byte
-		if _, err := io.ReadFull(br, ab[:]); err != nil {
-			return nil, err
-		}
-		nAttr := int(binary.LittleEndian.Uint16(ab[:]))
+		nAttr := int(r.U16())
 		if nAttr > maxAttrs {
 			return nil, fmt.Errorf("srg: attr count %d too large", nAttr)
 		}
 		if nAttr > 0 {
 			n.Attrs = make(map[string]string, nAttr)
 			for j := 0; j < nAttr; j++ {
-				k, err := readStr16()
-				if err != nil {
-					return nil, err
-				}
-				v, err := readStr16()
-				if err != nil {
-					return nil, err
-				}
-				n.Attrs[k] = v
+				k := r.Str()
+				n.Attrs[k] = r.Str()
 			}
 		}
-		if _, err := g.Add(n); err != nil {
+		if _, err := g.Add(n); err != nil && r.Err() == nil {
 			return nil, err
 		}
 	}
-	annCount, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if annCount > maxNodes {
-		return nil, fmt.Errorf("srg: edge annotation count %d exceeds limit", annCount)
-	}
-	for i := uint32(0); i < annCount; i++ {
-		to, err := readU32()
-		if err != nil {
-			return nil, err
+	annCount := r.U32()
+	for i := uint32(0); i < annCount && r.Err() == nil; i++ {
+		k := edgeKey{NodeID(r.U32()), int(r.U32())}
+		flags := r.U8()
+		// The float nearest v/1e9 can truncate back to v∓1; one step away
+		// from zero makes it encode as v, so a decoded graph re-encodes
+		// (and fingerprints) as the bytes it came from.
+		v := int64(r.U64())
+		rate := float64(v) / 1e9
+		if int64(rate*1e9) != v {
+			rate = math.Nextafter(rate, math.Copysign(math.Inf(1), rate))
 		}
-		arg, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		var rb [8]byte
-		if _, err := io.ReadFull(br, rb[:]); err != nil {
-			return nil, err
-		}
-		k := edgeKey{NodeID(to), int(arg)}
 		if flags&1 != 0 {
-			g.edgeRate[k] = float64(int64(binary.LittleEndian.Uint64(rb[:]))) / 1e9
+			g.edgeRate[k] = rate
 		}
 		if flags&2 != 0 {
 			g.edgeCritical[k] = flags&4 != 0
 		}
 	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("srg: %w", err)
+	}
 	return g, nil
 }
+
+// fpScratch recycles Fingerprint's encode buffers: the digest is taken
+// over the whole encoding, which would otherwise be allocated per call.
+var fpScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // Fingerprint returns a stable hex digest of the graph's canonical
 // encoding. Two graphs with identical structure and annotations share a
 // fingerprint; the global scheduler uses it to recognize repeated
 // workloads (e.g. "two tenants running the same public LLM", §3.6).
 func (g *Graph) Fingerprint() string {
-	h := sha256.New()
+	p := fpScratch.Get().(*[]byte)
+	defer fpScratch.Put(p)
 	// Name is excluded: the fingerprint identifies computation, not label.
-	_ = g.encode(h, "")
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	// A graph that fails to encode (and so is never shipped) is digested
+	// from the bytes its encoding got to.
+	*p, _ = g.appendBinary((*p)[:0], "")
+	sum := sha256.Sum256(*p)
+	return hex.EncodeToString(sum[:16])
 }
 
 // jsonGraph is the exported JSON form (genie-viz, debugging).

@@ -1,7 +1,6 @@
 package srg
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -222,11 +221,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g.SetEdgeRate(out, 0, 0.25)
 	g.SetEdgeCritical(out, 1, true)
 
-	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
+	enc, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
+	back, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,20 +264,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("NOPE"))); err == nil {
+	if _, err := Decode([]byte("NOPE")); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, err := Decode(nil); err == nil {
 		t.Error("empty input should fail")
 	}
 	// Truncated valid prefix.
 	g, _, _, _, _ := buildDiamond(t)
-	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
+	enc, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
+	trunc := enc[:len(enc)/2]
+	if _, err := Decode(trunc); err == nil {
 		t.Error("truncated input should fail")
 	}
 }
@@ -436,11 +435,11 @@ func TestEncodeDecodePropertyRandomDAGs(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := g.Encode(&buf); err != nil {
+		enc, err := g.AppendBinary(nil)
+		if err != nil {
 			return false
 		}
-		back, err := Decode(&buf)
+		back, err := Decode(enc)
 		if err != nil {
 			return false
 		}

@@ -180,3 +180,55 @@ func TestCompressedSendAllocatesUnderTwicePayload(t *testing.T) {
 	}
 	t.Logf("%d B allocated per %d B compressed round trip", per, size)
 }
+
+// A compressed body claiming more than deflate could inflate it to is a
+// FrameError before anything is allocated for it: 6 bytes claiming
+// 64 MiB used to cost the receiver the 64 MiB first.
+func TestDecompressRefusesImpossibleClaim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	body := append(binary.AppendUvarint(nil, 64<<20), 0x03, 0x00) // an empty fixed-Huffman block
+	if len(body) != 6 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decompressPayload(body)
+	runtime.ReadMemStats(&after)
+	if !IsFrameError(err) {
+		t.Fatalf("want a FrameError, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("refusing a 64 MiB claim allocated %d B", got)
+	}
+}
+
+// Deflate's best case stays under the expansion bound: 16 MiB of zeros
+// round-trips at BestSpeed (what compressPayload sends, about 824:1)
+// and at the default level a peer may use (about 1028:1).
+func TestDecompressZeroPayloadRoundTrips(t *testing.T) {
+	raw := make([]byte, 16<<20)
+	for _, level := range []int{flate.BestSpeed, flate.DefaultCompression} {
+		var b bytes.Buffer
+		b.Write(binary.AppendUvarint(nil, uint64(len(raw))))
+		fw, err := flate.NewWriter(&b, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := decompressPayload(b.Bytes())
+		if err != nil || !bytes.Equal(back, raw) {
+			t.Fatalf("level %d: %d compressed bytes do not round-trip: %v", level, b.Len(), err)
+		}
+		t.Logf("level %d: %d:1", level, len(raw)/b.Len())
+	}
+	if cp := compressedCopy(raw); cp == nil || len(cp) > len(raw)/800 {
+		t.Fatalf("compressPayload: %d bytes", len(cp))
+	}
+}

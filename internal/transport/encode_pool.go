@@ -1,6 +1,9 @@
 package transport
 
-import "genie/internal/tensor"
+import (
+	"genie/internal/codec"
+	"genie/internal/tensor"
+)
 
 // Pooled encode scratch for the hot request paths (upload, exec). The
 // non-pooled Encode* functions allocate a fresh slice per call, which is
@@ -32,16 +35,11 @@ func ReleaseEncoded(b []byte) {
 	encPool.Put(b[:len(b):cap(b)])
 }
 
-// strWireSize is the encoded size of a u16-length-prefixed string,
-// honoring the codec's truncation at 64 KiB.
-func strWireSize(s string) int {
-	if len(s) > 0xffff {
-		return 2 + 0xffff
-	}
-	return 2 + len(s)
-}
+// strWireSize is the encoded size of putStr's output, honoring its
+// truncation at 64 KiB.
+func strWireSize(s string) int { return 2 + min(len(s), codec.MaxStr) }
 
-// tensorWireSize is the encoded size of buf.tensor's output.
+// tensorWireSize is the encoded size of putTensor's output.
 func tensorWireSize(t *tensor.Tensor) int {
 	n := 2 + 4*t.Shape().Rank() + 4 + len(t.Bytes())
 	if t.DType() == tensor.I8 {
@@ -53,10 +51,10 @@ func tensorWireSize(t *tensor.Tensor) int {
 // EncodeUploadPooled is EncodeUpload into pooled scratch. Pass the
 // payload back via ReleaseEncoded once the frame has been written.
 func EncodeUploadPooled(u *Upload) []byte {
-	e := buf{b: encPool.Get(strWireSize(u.Key) + tensorWireSize(u.Data))[:0]}
-	e.str(u.Key)
-	e.tensor(u.Data)
-	return e.b
+	w := codec.Writer{B: encPool.Get(strWireSize(u.Key) + tensorWireSize(u.Data))[:0]}
+	putStr(&w, u.Key)
+	putTensor(&w, u.Data)
+	return w.B
 }
 
 // EncodeExecPooled is EncodeExec into pooled scratch. Pass the payload
@@ -64,21 +62,15 @@ func EncodeUploadPooled(u *Upload) []byte {
 func EncodeExecPooled(x *Exec) ([]byte, error) { return encodeGraphFrame(nil, x) }
 
 // encodeGraphFrame encodes hdr | u32 len | graph | tail into pooled
-// scratch: a MsgExec payload when hdr is empty, a plan frame that
-// installs the graph when hdr is a plan header.
+// scratch sized to fit: a MsgExec payload when hdr is empty, a plan
+// frame that installs the graph when hdr is a plan header. The graph is
+// appended straight into the frame.
 func encodeGraphFrame(hdr []byte, x *Exec) ([]byte, error) {
-	// The graph serializes through its own writer; borrow scratch for it
-	// too, seeded at its last-seen class so steady-state encodes of the
-	// same step graph never grow it.
-	gw := &sliceWriter{b: encPool.Get(4096)[:0]}
-	defer ReleaseEncoded(gw.b)
-	if err := x.Graph.Encode(gw); err != nil {
+	w := codec.Writer{B: encPool.Get(len(hdr) + graphFrameSize(x))[:0]}
+	w.Raw(hdr)
+	if err := putGraphFrame(&w, x); err != nil {
+		ReleaseEncoded(w.B)
 		return nil, err
 	}
-	e := buf{b: encPool.Get(len(hdr) + 4 + len(gw.b) + execTailSize(x))[:0]}
-	e.b = append(e.b, hdr...)
-	e.u32(uint32(len(gw.b)))
-	e.b = append(e.b, gw.b...)
-	e.execTail(x)
-	return e.b, nil
+	return w.B, nil
 }

@@ -2,11 +2,11 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 
+	"genie/internal/codec"
 	"genie/internal/srg"
 )
 
@@ -74,17 +74,17 @@ func encodeExecPlan(slot uint8, base *srg.Graph, x *Exec) ([]byte, error) {
 	if base != nil {
 		// A patch is a few dozen bytes per moved node; a short guess only
 		// costs an append's regrowth.
-		e := buf{b: encPool.Get(planHeader + 32*x.Graph.Len() + execTailSize(x))[:0]}
-		e.u8(slot)
-		e.u8(planPatch)
-		e.u32(0)
-		if b, ok := srg.AppendDiff(e.b, base, x.Graph); ok {
-			e.b = b
-			binary.LittleEndian.PutUint32(e.b[2:], uint32(len(e.b)-planHeader))
-			e.execTail(x)
-			return e.b, nil
+		w := codec.Writer{B: encPool.Get(planHeader + 32*x.Graph.Len() + execTailSize(x))[:0]}
+		w.U8(slot)
+		w.U8(planPatch)
+		w.U32(0)
+		var ok bool
+		if w.B, ok = srg.AppendDiff(w.B, base, x.Graph); ok {
+			w.SetU32(2, uint32(len(w.B)-planHeader))
+			putExecTail(&w, x)
+			return w.B, nil
 		}
-		ReleaseEncoded(e.b)
+		ReleaseEncoded(w.B)
 	}
 	return encodeGraphFrame([]byte{slot, planInstall}, x)
 }
@@ -97,11 +97,11 @@ func encodeExecPlan(slot uint8, base *srg.Graph, x *Exec) ([]byte, error) {
 // error empties the slot — the client forgets it on every error reply,
 // so the next frame for it is an install.
 func DecodeExecPlan(b []byte, slots []*srg.Graph) (x *Exec, err error) {
-	r := rdr{b: b}
-	slot, kind := int(r.u8()), r.u8()
-	body := r.take(int(r.u32()))
-	if r.err != nil {
-		return nil, r.err
+	r := codec.NewReader(b)
+	slot, kind := int(r.U8()), r.U8()
+	body := r.Take(int(r.U32()))
+	if r.Err() != nil {
+		return nil, frameErr(r.Err())
 	}
 	if slot >= len(slots) {
 		return nil, frameErrorf("transport: plan slot %d of %d", slot, len(slots))
@@ -113,7 +113,7 @@ func DecodeExecPlan(b []byte, slots []*srg.Graph) (x *Exec, err error) {
 	}()
 	switch kind {
 	case planInstall:
-		g, err := srg.Decode(bytesReader(body))
+		g, err := srg.Decode(body)
 		if err != nil {
 			return nil, err
 		}
@@ -129,8 +129,8 @@ func DecodeExecPlan(b []byte, slots []*srg.Graph) (x *Exec, err error) {
 		return nil, frameErrorf("transport: invalid plan kind %d", kind)
 	}
 	x = &Exec{Graph: slots[slot], Repeat: true}
-	r.execTail(x)
-	return x, r.err
+	readExecTail(&r, x)
+	return x, frameErr(r.Err())
 }
 
 // isUnknownPlan classifies the server's "nothing installed in that

@@ -17,11 +17,14 @@
 package transport
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
+	"genie/internal/codec"
 	"genie/internal/srg"
 	"genie/internal/tensor"
 )
@@ -144,21 +147,26 @@ func (e Envelope) wireSize(payload int) int64 {
 // payload untraced, or, when the envelope is non-zero, u32 len |
 // u8 type|envFlag | u64 trace | u64 span | payload.
 func WriteFrameEnv(w io.Writer, t MsgType, env Envelope, payload []byte) error {
+	return writeFrame(w, byte(t), env, payload)
+}
+
+// writeFrame writes one frame under type byte tb, a MsgType that may
+// carry compFlag, setting envFlag itself when env is non-zero.
+func writeFrame(w io.Writer, tb byte, env Envelope, payload []byte) error {
 	if len(payload) > maxFrame {
 		return frameErrorf("transport: frame of %d bytes exceeds limit", len(payload))
 	}
 	var hdr [frameHeader + envSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	n := frameHeader
+	h := codec.Writer{B: hdr[:0]}
+	h.U32(uint32(len(payload)))
 	if env.Zero() {
-		hdr[4] = byte(t)
+		h.U8(tb)
 	} else {
-		hdr[4] = byte(t) | envFlag
-		binary.LittleEndian.PutUint64(hdr[5:13], env.Trace)
-		binary.LittleEndian.PutUint64(hdr[13:21], env.Span)
-		n += envSize
+		h.U8(tb | envFlag)
+		h.U64(env.Trace)
+		h.U64(env.Span)
 	}
-	if _, err := w.Write(hdr[:n]); err != nil {
+	if _, err := w.Write(h.B); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -216,157 +224,94 @@ func KindName(t MsgType) string {
 	return "unknown"
 }
 
-// --- primitive codec helpers ---
+// --- codec helpers ---
 
-type buf struct{ b []byte }
+// Message payloads are written and read through the one binary codec
+// (internal/codec) that the SRG encoding shares. Every failure a payload
+// decoder meets is typed as a FrameError by frameErr, except what srg
+// reports about a graph section, which stays srg's plain error.
 
-// str writes a u16-length-prefixed string. Strings beyond the 64 KiB
+// frameErr types a payload decoder's codec failure (nil stays nil).
+func frameErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &FrameError{msg: "transport: " + err.Error()}
+}
+
+// putStr appends a u16-length-prefixed string. Strings beyond the 64 KiB
 // prefix limit are truncated consistently (prefix and bytes together) so
 // the stream can never desynchronize; object keys and refs are far below
 // the limit in practice.
-func (e *buf) str(s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	e.b = append(e.b, l[:]...)
-	e.b = append(e.b, s...)
-}
+func putStr(w *codec.Writer, s string) { w.Str(s[:min(len(s), codec.MaxStr)]) }
 
-func (e *buf) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *buf) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *buf) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-
-func (e *buf) tensor(t *tensor.Tensor) {
-	e.u8(uint8(t.DType()))
-	e.u8(uint8(t.Shape().Rank()))
+func putTensor(w *codec.Writer, t *tensor.Tensor) {
+	w.U8(uint8(t.DType()))
+	w.U8(uint8(t.Shape().Rank()))
 	for _, d := range t.Shape() {
-		e.u32(uint32(d))
+		w.U32(uint32(d))
 	}
-	e.u32(uint32(len(t.Bytes())))
-	e.b = append(e.b, t.Bytes()...)
+	w.U32(uint32(len(t.Bytes())))
+	w.Raw(t.Bytes())
 	// Quantized tensors carry their scale section inline: u8 axis,
 	// u32 count, count×f32. Only the I8 dtype — which predates nothing
 	// on this wire — has the section, so every legacy encoding is
 	// byte-identical.
 	if t.DType() == tensor.I8 {
 		sc := t.Scales()
-		e.u8(uint8(t.QuantAxis()))
-		e.u32(uint32(len(sc)))
+		w.U8(uint8(t.QuantAxis()))
+		w.U32(uint32(len(sc)))
 		for _, s := range sc {
-			e.u32(f32ToBits(s))
+			w.U32(math.Float32bits(s))
 		}
 	}
 }
 
-type rdr struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *rdr) fail(msg string) {
-	if r.err == nil {
-		r.err = frameErrorf("transport: %s at offset %d", msg, r.off)
-	}
-}
-
-func (r *rdr) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.fail("short buffer")
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *rdr) str() string {
-	b := r.take(2)
-	if b == nil {
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	s := r.take(n)
-	return string(s)
-}
-
-func (r *rdr) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *rdr) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *rdr) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *rdr) tensor() *tensor.Tensor {
-	dt := tensor.DType(r.u8())
+func readTensor(r *codec.Reader) *tensor.Tensor {
+	dt := tensor.DType(r.U8())
 	if dt > tensor.I8 {
-		r.fail("invalid dtype byte")
+		r.Fail("invalid dtype byte")
 		return nil
 	}
-	rank := int(r.u8())
+	rank := int(r.U8())
 	if rank > 16 {
-		r.fail("rank too large")
+		r.Fail("rank too large")
 		return nil
 	}
 	shape := make(tensor.Shape, rank)
 	for i := range shape {
-		shape[i] = int(r.u32())
+		shape[i] = int(r.U32())
 	}
-	n := int(r.u32())
-	data := r.take(n)
-	if r.err != nil {
+	data := r.Take(int(r.U32()))
+	if r.Err() != nil {
 		return nil
 	}
 	// Copy: the frame buffer is reused by callers.
-	cp := make([]byte, n)
-	copy(cp, data)
-	t, err := tensor.FromBytes(dt, shape, cp)
+	t, err := tensor.FromBytes(dt, shape, bytes.Clone(data))
 	if err != nil {
-		r.fail(err.Error())
+		r.Fail("%v", err)
 		return nil
 	}
 	if dt == tensor.I8 {
-		axis := int(r.u8())
-		ns := int(r.u32())
-		if r.err != nil {
+		axis := int(r.U8())
+		ns := int(r.U32())
+		if r.Err() != nil {
 			return nil
 		}
 		if ns > 0 {
 			if axis >= len(shape) || ns != shape[axis] {
-				r.fail("scale count does not match quant axis")
+				r.Fail("scale count does not match quant axis")
 				return nil
 			}
 			scales := make([]float32, ns)
 			for i := range scales {
-				scales[i] = f32FromBits(r.u32())
+				scales[i] = math.Float32frombits(r.U32())
 			}
-			if r.err != nil {
+			if r.Err() != nil {
 				return nil
 			}
 			if err := t.AttachScales(axis, scales); err != nil {
-				r.fail(err.Error())
+				r.Fail("%v", err)
 				return nil
 			}
 		}
@@ -386,17 +331,17 @@ type Upload struct {
 //
 //lint:ignore deadexport test reference: codec round-trip and fuzz tests encode uploads
 func EncodeUpload(u *Upload) []byte {
-	var e buf
-	e.str(u.Key)
-	e.tensor(u.Data)
-	return e.b
+	var w codec.Writer
+	putStr(&w, u.Key)
+	putTensor(&w, u.Data)
+	return w.B
 }
 
 // DecodeUpload parses an Upload payload.
 func DecodeUpload(b []byte) (*Upload, error) {
-	r := rdr{b: b}
-	u := &Upload{Key: r.str(), Data: r.tensor()}
-	return u, r.err
+	r := codec.NewReader(b)
+	u := &Upload{Key: r.Str(), Data: readTensor(&r)}
+	return u, frameErr(r.Err())
 }
 
 // UploadOK acknowledges an upload with the store epoch it landed in.
@@ -407,17 +352,17 @@ type UploadOK struct {
 
 // EncodeUploadOK serializes an UploadOK payload.
 func EncodeUploadOK(a *UploadOK) []byte {
-	var e buf
-	e.u32(a.Epoch)
-	e.u64(uint64(a.Bytes))
-	return e.b
+	var w codec.Writer
+	w.U32(a.Epoch)
+	w.U64(uint64(a.Bytes))
+	return w.B
 }
 
 // DecodeUploadOK parses an UploadOK payload.
 func DecodeUploadOK(b []byte) (*UploadOK, error) {
-	r := rdr{b: b}
-	a := &UploadOK{Epoch: r.u32(), Bytes: int64(r.u64())}
-	return a, r.err
+	r := codec.NewReader(b)
+	a := &UploadOK{Epoch: r.U32(), Bytes: int64(r.U64())}
+	return a, frameErr(r.Err())
 }
 
 // Binding supplies data for one SRG leaf ref: either an inline tensor or
@@ -466,51 +411,64 @@ type Exec struct {
 //
 //lint:ignore deadexport test reference: codec round-trip and fuzz tests encode execs
 func EncodeExec(x *Exec) ([]byte, error) {
-	w := &sliceWriter{}
-	if err := x.Graph.Encode(w); err != nil {
+	w := codec.Writer{B: make([]byte, 0, graphFrameSize(x))}
+	if err := putGraphFrame(&w, x); err != nil {
 		return nil, err
 	}
-	var e buf
-	e.u32(uint32(len(w.b)))
-	e.b = append(e.b, w.b...)
-	e.execTail(x)
-	return e.b, nil
+	return w.B, nil
 }
 
-// execTail writes what follows the graph in every exec frame, full or
+// putGraphFrame appends u32 len | graph | tail: a MsgExec payload, or
+// what follows the header of a plan frame that installs the graph.
+func putGraphFrame(w *codec.Writer, x *Exec) error {
+	at := len(w.B)
+	w.U32(0)
+	var err error
+	if w.B, err = x.Graph.AppendBinary(w.B); err != nil {
+		return err
+	}
+	w.SetU32(at, uint32(len(w.B)-at-4))
+	putExecTail(w, x)
+	return nil
+}
+
+// graphFrameSize is the encoded size of putGraphFrame's output.
+func graphFrameSize(x *Exec) int { return 4 + x.Graph.BinarySize() + execTailSize(x) }
+
+// putExecTail writes what follows the graph in every exec frame, full or
 // plan: the bindings, the keep map and the want list.
-func (e *buf) execTail(x *Exec) {
-	e.u32(uint32(len(x.Binds)))
+func putExecTail(w *codec.Writer, x *Exec) {
+	w.U32(uint32(len(x.Binds)))
 	for _, bd := range x.Binds {
-		e.str(bd.Ref)
+		putStr(w, bd.Ref)
 		switch {
 		case bd.Inline != nil && bd.Cache:
-			e.u8(3)
-			e.tensor(bd.Inline)
+			w.U8(3)
+			putTensor(w, bd.Inline)
 		case bd.Inline != nil:
-			e.u8(1)
-			e.tensor(bd.Inline)
+			w.U8(1)
+			putTensor(w, bd.Inline)
 		case bd.Hash != [HashSize]byte{}:
-			e.u8(2)
-			e.b = append(e.b, bd.Hash[:]...)
+			w.U8(2)
+			w.Raw(bd.Hash[:])
 		default:
-			e.u8(0)
-			e.str(bd.Key)
-			e.u32(bd.Epoch)
+			w.U8(0)
+			putStr(w, bd.Key)
+			w.U32(bd.Epoch)
 		}
 	}
-	e.u32(uint32(len(x.Keep)))
+	w.U32(uint32(len(x.Keep)))
 	for _, id := range keepOrder(x.Keep) {
-		e.u32(uint32(id))
-		e.str(x.Keep[id])
+		w.U32(uint32(id))
+		putStr(w, x.Keep[id])
 	}
-	e.u32(uint32(len(x.Want)))
+	w.U32(uint32(len(x.Want)))
 	for _, id := range x.Want {
-		e.u32(uint32(id))
+		w.U32(uint32(id))
 	}
 }
 
-// execTailSize is the encoded size of execTail's output.
+// execTailSize is the encoded size of putExecTail's output.
 func execTailSize(x *Exec) int {
 	n := 4
 	for i := range x.Binds {
@@ -539,99 +497,68 @@ func keepOrder(keep map[srg.NodeID]string) []srg.NodeID {
 	for id := range keep {
 		ids = append(ids, id)
 	}
-	sortNodeIDs(ids)
+	slices.Sort(ids)
 	return ids
-}
-
-func sortNodeIDs(ids []srg.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // DecodeExec parses an Exec payload.
 func DecodeExec(b []byte) (*Exec, error) {
-	r := rdr{b: b}
-	gBytes := r.take(int(r.u32()))
-	if r.err != nil {
-		return nil, r.err
+	r := codec.NewReader(b)
+	gBytes := r.Take(int(r.U32()))
+	if r.Err() != nil {
+		return nil, frameErr(r.Err())
 	}
-	g, err := srg.Decode(bytesReader(gBytes))
+	g, err := srg.Decode(gBytes)
 	if err != nil {
 		return nil, err
 	}
 	x := &Exec{Graph: g}
-	r.execTail(x)
-	return x, r.err
+	readExecTail(&r, x)
+	return x, frameErr(r.Err())
 }
 
-// execTail reads what execTail wrote into x.
-func (r *rdr) execTail(x *Exec) {
-	nBind := int(r.u32())
-	if r.err == nil && nBind > 1<<20 {
-		r.fail(fmt.Sprintf("%d bindings", nBind))
+// readExecTail reads what putExecTail wrote into x.
+func readExecTail(r *codec.Reader, x *Exec) {
+	nBind := int(r.U32())
+	if nBind > 1<<20 {
+		r.Fail("%d bindings", nBind)
 	}
-	for i := 0; i < nBind && r.err == nil; i++ {
-		bd := Binding{Ref: r.str()}
-		switch kind := r.u8(); kind {
+	for i := 0; i < nBind && r.Err() == nil; i++ {
+		bd := Binding{Ref: r.Str()}
+		switch kind := r.U8(); kind {
 		case 0:
-			bd.Key = r.str()
-			bd.Epoch = r.u32()
+			bd.Key = r.Str()
+			bd.Epoch = r.U32()
 		case 1:
-			bd.Inline = r.tensor()
+			bd.Inline = readTensor(r)
 		case 2:
-			copy(bd.Hash[:], r.take(HashSize))
+			copy(bd.Hash[:], r.Take(HashSize))
 		case 3:
-			bd.Inline = r.tensor()
+			bd.Inline = readTensor(r)
 			bd.Cache = true
 		default:
-			r.fail(fmt.Sprintf("invalid binding kind %d", kind))
+			r.Fail("invalid binding kind %d", kind)
 		}
 		x.Binds = append(x.Binds, bd)
 	}
-	nKeep := int(r.u32())
-	if r.err == nil && nKeep > 1<<20 {
-		r.fail(fmt.Sprintf("%d keeps", nKeep))
+	nKeep := int(r.U32())
+	if nKeep > 1<<20 {
+		r.Fail("%d keeps", nKeep)
 	}
-	if r.err == nil && nKeep > 0 {
+	if r.Err() == nil && nKeep > 0 {
 		x.Keep = make(map[srg.NodeID]string, nKeep)
 	}
-	for i := 0; i < nKeep && r.err == nil; i++ {
-		id := srg.NodeID(r.u32())
-		x.Keep[id] = r.str()
+	for i := 0; i < nKeep && r.Err() == nil; i++ {
+		id := srg.NodeID(r.U32())
+		x.Keep[id] = r.Str()
 	}
-	nWant := int(r.u32())
-	if r.err == nil && nWant > 1<<20 {
-		r.fail(fmt.Sprintf("%d wants", nWant))
+	nWant := int(r.U32())
+	if nWant > 1<<20 {
+		r.Fail("%d wants", nWant)
 	}
-	for i := 0; i < nWant && r.err == nil; i++ {
-		x.Want = append(x.Want, srg.NodeID(r.u32()))
+	for i := 0; i < nWant && r.Err() == nil; i++ {
+		x.Want = append(x.Want, srg.NodeID(r.U32()))
 	}
-}
-
-func bytesReader(b []byte) io.Reader { return &byteRdr{b: b} }
-
-type byteRdr struct {
-	b   []byte
-	off int
-}
-
-func (r *byteRdr) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // ExecOK returns an execution's requested results.
@@ -654,71 +581,63 @@ type ExecOK struct {
 
 // EncodeExecOK serializes an ExecOK payload.
 func EncodeExecOK(a *ExecOK) []byte {
-	var e buf
-	e.u32(uint32(len(a.Results)))
+	var w codec.Writer
+	w.U32(uint32(len(a.Results)))
 	ids := make([]srg.NodeID, 0, len(a.Results))
 	for id := range a.Results {
 		ids = append(ids, id)
 	}
-	sortNodeIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
-		e.u32(uint32(id))
-		e.tensor(a.Results[id])
+		w.U32(uint32(id))
+		putTensor(&w, a.Results[id])
 	}
-	e.u32(uint32(len(a.Kept)))
+	w.U32(uint32(len(a.Kept)))
 	keys := make([]string, 0, len(a.Kept))
 	for k := range a.Kept {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		e.str(k)
-		e.u64(uint64(a.Kept[k]))
+		putStr(&w, k)
+		w.U64(uint64(a.Kept[k]))
 	}
-	e.u32(a.Epoch)
-	e.u64(uint64(a.GPUTimeNs))
-	e.str(a.GraphFP)
-	return e.b
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
+	w.U32(a.Epoch)
+	w.U64(uint64(a.GPUTimeNs))
+	putStr(&w, a.GraphFP)
+	return w.B
 }
 
 // DecodeExecOK parses an ExecOK payload.
 func DecodeExecOK(b []byte) (*ExecOK, error) {
-	r := rdr{b: b}
+	r := codec.NewReader(b)
 	a := &ExecOK{}
-	nRes := int(r.u32())
-	if r.err == nil && nRes > 1<<20 {
+	nRes := int(r.U32())
+	if nRes > 1<<20 {
 		return nil, frameErrorf("transport: %d results", nRes)
 	}
 	if nRes > 0 {
 		a.Results = make(map[srg.NodeID]*tensor.Tensor, nRes)
 	}
-	for i := 0; i < nRes && r.err == nil; i++ {
-		id := srg.NodeID(r.u32())
-		a.Results[id] = r.tensor()
+	for i := 0; i < nRes && r.Err() == nil; i++ {
+		id := srg.NodeID(r.U32())
+		a.Results[id] = readTensor(&r)
 	}
-	nKept := int(r.u32())
-	if r.err == nil && nKept > 1<<20 {
+	nKept := int(r.U32())
+	if nKept > 1<<20 {
 		return nil, frameErrorf("transport: %d kepts", nKept)
 	}
 	if nKept > 0 {
 		a.Kept = make(map[string]int64, nKept)
 	}
-	for i := 0; i < nKept && r.err == nil; i++ {
-		k := r.str()
-		a.Kept[k] = int64(r.u64())
+	for i := 0; i < nKept && r.Err() == nil; i++ {
+		k := r.Str()
+		a.Kept[k] = int64(r.U64())
 	}
-	a.Epoch = r.u32()
-	a.GPUTimeNs = int64(r.u64())
-	a.GraphFP = r.str()
-	return a, r.err
+	a.Epoch = r.U32()
+	a.GPUTimeNs = int64(r.U64())
+	a.GraphFP = r.Str()
+	return a, frameErr(r.Err())
 }
 
 // Fetch retrieves a resident object.
@@ -729,31 +648,31 @@ type Fetch struct {
 
 // EncodeFetch serializes a Fetch payload.
 func EncodeFetch(f *Fetch) []byte {
-	var e buf
-	e.str(f.Key)
-	e.u32(f.Epoch)
-	return e.b
+	var w codec.Writer
+	putStr(&w, f.Key)
+	w.U32(f.Epoch)
+	return w.B
 }
 
 // DecodeFetch parses a Fetch payload.
 func DecodeFetch(b []byte) (*Fetch, error) {
-	r := rdr{b: b}
-	f := &Fetch{Key: r.str(), Epoch: r.u32()}
-	return f, r.err
+	r := codec.NewReader(b)
+	f := &Fetch{Key: r.Str(), Epoch: r.U32()}
+	return f, frameErr(r.Err())
 }
 
 // EncodeTensorMsg serializes a MsgTensor payload.
 func EncodeTensorMsg(t *tensor.Tensor) []byte {
-	var e buf
-	e.tensor(t)
-	return e.b
+	var w codec.Writer
+	putTensor(&w, t)
+	return w.B
 }
 
 // DecodeTensorMsg parses a MsgTensor payload.
 func DecodeTensorMsg(b []byte) (*tensor.Tensor, error) {
-	r := rdr{b: b}
-	t := r.tensor()
-	return t, r.err
+	r := codec.NewReader(b)
+	t := readTensor(&r)
+	return t, frameErr(r.Err())
 }
 
 // Stats reports server-side counters.
@@ -767,41 +686,41 @@ type Stats struct {
 
 // EncodeStats serializes a Stats payload.
 func EncodeStats(s *Stats) []byte {
-	var e buf
-	e.u32(s.Epoch)
-	e.u64(uint64(s.ResidentBytes))
-	e.u64(uint64(s.ResidentCount))
-	e.u64(uint64(s.GPUBusyNs))
-	e.u64(uint64(s.ExecCalls))
-	return e.b
+	var w codec.Writer
+	w.U32(s.Epoch)
+	w.U64(uint64(s.ResidentBytes))
+	w.U64(uint64(s.ResidentCount))
+	w.U64(uint64(s.GPUBusyNs))
+	w.U64(uint64(s.ExecCalls))
+	return w.B
 }
 
 // DecodeStats parses a Stats payload.
 func DecodeStats(b []byte) (*Stats, error) {
-	r := rdr{b: b}
+	r := codec.NewReader(b)
 	s := &Stats{
-		Epoch:         r.u32(),
-		ResidentBytes: int64(r.u64()),
-		ResidentCount: int64(r.u64()),
-		GPUBusyNs:     int64(r.u64()),
-		ExecCalls:     int64(r.u64()),
+		Epoch:         r.U32(),
+		ResidentBytes: int64(r.U64()),
+		ResidentCount: int64(r.U64()),
+		GPUBusyNs:     int64(r.U64()),
+		ExecCalls:     int64(r.U64()),
 	}
-	return s, r.err
+	return s, frameErr(r.Err())
 }
 
 // EncodeErr serializes an error message payload.
 func EncodeErr(err error) []byte {
-	var e buf
-	e.str(err.Error())
-	return e.b
+	var w codec.Writer
+	putStr(&w, err.Error())
+	return w.B
 }
 
 // DecodeErr parses an error payload into an error value.
 func DecodeErr(b []byte) error {
-	r := rdr{b: b}
-	msg := r.str()
-	if r.err != nil {
-		return r.err
+	r := codec.NewReader(b)
+	msg := r.Str()
+	if r.Err() != nil {
+		return frameErr(r.Err())
 	}
 	return &RemoteError{Msg: msg}
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 
+	"genie/internal/codec"
 	"genie/internal/tensor"
 )
 
@@ -84,24 +85,21 @@ func ContentHash(t *tensor.Tensor) [HashSize]byte {
 	return out
 }
 
-func f32ToBits(f float32) uint32   { return math.Float32bits(f) }
-func f32FromBits(b uint32) float32 { return math.Float32frombits(b) }
-
 // --- Hello: feature negotiation ---
 
 // EncodeHello serializes a feature request/grant mask (both directions
 // use the same 4-byte payload).
 func EncodeHello(features uint32) []byte {
-	var e buf
-	e.u32(features)
-	return e.b
+	var w codec.Writer
+	w.U32(features)
+	return w.B
 }
 
 // DecodeHello parses a feature mask payload.
 func DecodeHello(b []byte) (uint32, error) {
-	r := rdr{b: b}
-	f := r.u32()
-	return f, r.err
+	r := codec.NewReader(b)
+	f := r.U32()
+	return f, frameErr(r.Err())
 }
 
 // --- UploadRef: dedup by content hash ---
@@ -115,18 +113,18 @@ type UploadRef struct {
 
 // EncodeUploadRef serializes an UploadRef payload.
 func EncodeUploadRef(u *UploadRef) []byte {
-	var e buf
-	e.str(u.Key)
-	e.b = append(e.b, u.Hash[:]...)
-	return e.b
+	var w codec.Writer
+	putStr(&w, u.Key)
+	w.Raw(u.Hash[:])
+	return w.B
 }
 
 // DecodeUploadRef parses an UploadRef payload.
 func DecodeUploadRef(b []byte) (*UploadRef, error) {
-	r := rdr{b: b}
-	u := &UploadRef{Key: r.str()}
-	copy(u.Hash[:], r.take(HashSize))
-	return u, r.err
+	r := codec.NewReader(b)
+	u := &UploadRef{Key: r.Str()}
+	copy(u.Hash[:], r.Take(HashSize))
+	return u, frameErr(r.Err())
 }
 
 // --- frame payload compression ---
@@ -254,18 +252,25 @@ func compressPayload(raw []byte) *bytes.Buffer {
 // Its bytes must not be used afterwards.
 func releaseCompressed(b *bytes.Buffer) { putBuf(sendBufs, b) }
 
+// maxInflate is deflate's largest expansion (RFC 1951): a 258-byte
+// match coded in 2 bits.
+const maxInflate = 1032
+
 // decompressPayload reverses compressPayload. Every malformed input —
 // bad varint, oversized claim, corrupt deflate stream, length
 // mismatch — is a FrameError, never a panic: this is attacker-facing
-// surface (see fuzz_test.go). The inflated payload is a fresh slice the
-// caller owns; p is not retained.
+// surface (see fuzz_test.go). A raw length the compressed bytes could
+// not inflate to is refused before the output is allocated, so a peer
+// cannot make the receiver allocate more than maxInflate times what it
+// sent. The inflated payload is a fresh slice the caller owns; p is not
+// retained.
 func decompressPayload(p []byte) ([]byte, error) {
 	rawLen, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, frameErrorf("transport: corrupt compressed frame header")
 	}
-	if rawLen > maxFrame {
-		return nil, frameErrorf("transport: compressed frame claims %d bytes", rawLen)
+	if rawLen > maxFrame || rawLen > maxInflate*uint64(len(p)-n) {
+		return nil, frameErrorf("transport: %d compressed bytes claim %d", len(p)-n, rawLen)
 	}
 	z := inflaters.Get().(*inflater)
 	defer func() {
@@ -292,25 +297,7 @@ func decompressPayload(p []byte) ([]byte, error) {
 // writeFrameCompressed writes one frame whose payload cp was already
 // produced by compressPayload, setting compFlag in the type byte.
 func writeFrameCompressed(w io.Writer, t MsgType, env Envelope, cp []byte) error {
-	if len(cp) > maxFrame {
-		return frameErrorf("transport: frame of %d bytes exceeds limit", len(cp))
-	}
-	var hdr [frameHeader + envSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(cp)))
-	n := frameHeader
-	tb := byte(t) | compFlag
-	if !env.Zero() {
-		tb |= envFlag
-		binary.LittleEndian.PutUint64(hdr[5:13], env.Trace)
-		binary.LittleEndian.PutUint64(hdr[13:21], env.Span)
-		n += envSize
-	}
-	hdr[4] = tb
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(cp)
-	return err
+	return writeFrame(w, byte(t)|compFlag, env, cp)
 }
 
 // ReadFrameEnv reads one frame plus its trace envelope (zero when the
